@@ -1,9 +1,9 @@
 // Command p4pfed serves a P4P federation front end: a shard router
 // that consumes N backend iTracker portals (one per provider / PID
 // shard), composes their external views with the configured
-// interdomain circuits, and serves the merged federation view over the
-// standard portal wire protocol — an appTracker cannot tell it from a
-// single very wide iTracker.
+// interdomain circuits, and serves the merged federation view through
+// the same portal.Handler an iTracker uses — an appTracker cannot tell
+// it from a single very wide iTracker.
 //
 // Example, two providers joined by one circuit:
 //
@@ -117,10 +117,7 @@ func main() {
 
 	rm := telemetry.NewRuntimeMetrics(reg)
 	mux := http.NewServeMux()
-	mux.Handle("/p4p/", rt)
-	mux.Handle("GET /stats", rt)
-	mux.Handle("GET /healthz", rt)
-	mux.Handle("GET /readyz", rt)
+	mux.Handle("/", rt) // /p4p/v1/*, /stats, /healthz, /readyz
 	mux.Handle("GET /metrics", rm.Handler(reg.Handler()))
 	if collector != nil {
 		mux.Handle("GET /debug/traces", collector.Handler())

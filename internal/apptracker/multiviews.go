@@ -32,9 +32,9 @@ type PortalRef struct {
 // resolves via intradomain + interdomain composition and the
 // selector's inter-AS stage sees real cross-provider distances.
 //
-// The merge is cached by the identity of the input views: in steady
-// state every ViewFor is N pointer-equal cache hits and one map
-// lookup, and a recompose happens only when some portal actually
+// The merge goes through federation.MergeCache, keyed by the identity
+// of the input views: in steady state every ViewFor is N pointer-equal
+// cache hits, and a recompose happens only when some portal actually
 // delivered a new view (or dropped out).
 type MultiPortalViews struct {
 	// Logger, if non-nil, receives one line per merge failure.
@@ -42,11 +42,7 @@ type MultiPortalViews struct {
 
 	portals []*PortalViews
 	refs    []PortalRef
-
-	mu        sync.Mutex
-	circuits  []federation.Circuit
-	lastViews []*core.View // merge-cache key: input view identities
-	merged    *core.View
+	merges  *federation.MergeCache
 }
 
 // NewMultiPortalViews builds one PortalViews per ref, each backed by a
@@ -54,13 +50,16 @@ type MultiPortalViews struct {
 // URL-keyed ETag cache. TTL applies to every portal (zero = default).
 func NewMultiPortalViews(base *portal.Client, refs []PortalRef, ttl time.Duration) *MultiPortalViews {
 	m := &MultiPortalViews{}
+	var names []string
 	for _, ref := range refs {
 		if ref.Name == "" {
 			ref.Name = ref.URL
 		}
 		m.refs = append(m.refs, ref)
 		m.portals = append(m.portals, NewPortalViews(base.WithBase(ref.URL), ttl))
+		names = append(names, ref.Name)
 	}
+	m.merges = federation.NewMergeCache(names, nil)
 	return m
 }
 
@@ -80,11 +79,7 @@ func (m *MultiPortalViews) SetMetrics(vm *ViewMetrics) {
 // cached merge, so the next ViewFor composes with the new costs.
 // Circuit shard names are PortalRef names.
 func (m *MultiPortalViews) SetCircuits(cs []federation.Circuit) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.circuits = append([]federation.Circuit(nil), cs...)
-	m.lastViews = nil
-	m.merged = nil
+	m.merges.SetCircuits(cs)
 }
 
 // Invalidate expires every portal's view and backoff, so the next
@@ -118,54 +113,21 @@ func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 	}
 	wg.Wait()
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lastViews != nil && sameViews(m.lastViews, views) {
-		if m.merged == nil {
-			return nil
-		}
-		return m.merged
-	}
-	shards := make([]federation.ShardView, 0, len(views))
-	for i, v := range views {
-		if v != nil {
-			shards = append(shards, federation.ShardView{Name: m.refs[i].Name, View: v})
-		}
-	}
-	m.lastViews = views
-	if len(shards) == 0 {
-		m.merged = nil
-		return nil
-	}
-	merged, err := federation.Merge(shards, m.circuits)
+	merged, fresh, err := m.merges.Merge(views)
 	if err != nil {
 		// Overlapping shards: a configuration error. Serve nothing
 		// rather than a view known to be wrong; the selector falls back
 		// to native peering.
-		if m.Logger != nil {
+		if m.Logger != nil && fresh {
 			m.Logger.Error("federation merge failed, degrading to native peering",
 				slog.String("error", err.Error()))
 		}
-		m.merged = nil
 		return nil
 	}
-	m.merged = merged
+	if merged == nil {
+		return nil
+	}
 	return merged
-}
-
-// sameViews reports whether two input snapshots hold identical view
-// pointers (PortalViews returns the same *core.View until a refresh
-// replaces it, so pointer identity is exactly "nothing changed").
-func sameViews(a, b []*core.View) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BatchDistances answers src→dst queries from the merged view; pairs

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"log/slog"
-	"sync"
 	"time"
 
 	"p4p/internal/core"
@@ -14,11 +13,8 @@ import (
 )
 
 // ViewFetcher is the slice of the portal client PortalViews needs; the
-// concrete portal.Client satisfies it, and fault-injection tests supply
-// failing/slow/flaky implementations.
-type ViewFetcher interface {
-	DistancesContext(ctx context.Context) (*core.View, error)
-}
+// concrete portal.Client satisfies it.
+type ViewFetcher = portal.ViewFetcher
 
 // BatchFetcher is the optional batch-endpoint slice of the portal
 // client; *portal.Client satisfies it. PortalViews falls back to it
@@ -27,26 +23,10 @@ type BatchFetcher interface {
 	BatchDistancesContext(ctx context.Context, pairs []portal.PIDPair) (*portal.BatchResult, error)
 }
 
-// ViewStats counts how the view cache is behaving; appTrackers export
-// it so operators can see when peers are being selected off a stale
-// view (the paper's graceful-degradation mode).
-type ViewStats struct {
-	// Refreshes counts successful portal fetches (including cheap
-	// 304 revalidations inside the client).
-	Refreshes int64 `json:"refreshes"`
-	// Failures counts refresh attempts that exhausted the client's
-	// retries without producing a view.
-	Failures int64 `json:"failures"`
-	// StaleServes counts selections answered from the last-known-good
-	// view after its TTL expired (portal slow or down).
-	StaleServes int64 `json:"stale_serves"`
-	// NilServes counts selections with no view at all (portal down and
-	// never reached); the selector degrades to native random peering.
-	NilServes int64 `json:"nil_serves"`
-	// Coalesces counts selections answered from the previous view while
-	// another caller's refresh was in flight (singleflight).
-	Coalesces int64 `json:"coalesces"`
-}
+// ViewStats counts how the view cache is behaving (see
+// portal.ViewStats); a NilServe is a selection the selector answered
+// with native random peering.
+type ViewStats = portal.ViewStats
 
 // ViewMetrics mirrors ViewStats into the telemetry registry so the view
 // cache's behavior is scrapeable at /metrics. Every family carries a
@@ -116,33 +96,24 @@ func (m *ViewMetrics) ForPortal(portalURL string) *ViewMetrics {
 	return m.vecs.bind(portalURL)
 }
 
-func (m *ViewMetrics) refresh() {
-	if m != nil {
-		m.Refreshes.Inc()
+// record mirrors one ViewCache.Get's events.
+func (m *ViewMetrics) record(ev portal.Event) {
+	if m == nil {
+		return
 	}
-}
-
-func (m *ViewMetrics) failure() {
-	if m != nil {
-		m.Failures.Inc()
-	}
-}
-
-func (m *ViewMetrics) staleServe() {
-	if m != nil {
-		m.StaleServes.Inc()
-	}
-}
-
-func (m *ViewMetrics) nilServe() {
-	if m != nil {
-		m.NilServes.Inc()
-	}
-}
-
-func (m *ViewMetrics) coalesce() {
-	if m != nil {
-		m.Coalesces.Inc()
+	for _, e := range [...]struct {
+		bit portal.Event
+		c   *telemetry.Counter
+	}{
+		{portal.EventRefresh, m.Refreshes},
+		{portal.EventFailure, m.Failures},
+		{portal.EventStale, m.StaleServes},
+		{portal.EventNil, m.NilServes},
+		{portal.EventCoalesce, m.Coalesces},
+	} {
+		if ev&e.bit != 0 {
+			e.c.Inc()
+		}
 	}
 }
 
@@ -151,7 +122,8 @@ func (m *ViewMetrics) coalesce() {
 // views are cached for a TTL, refreshed with conditional GET, and when
 // the portal is unreachable the last-known-good view keeps serving
 // (flagged in Stats) instead of failing the selection — "applications
-// can make default decisions without the iTracker".
+// can make default decisions without the iTracker". The state machine
+// is portal.ViewCache, shared with every federation shard.
 //
 // Refreshes are singleflight: the first caller past the TTL performs
 // the fetch while concurrent callers are answered immediately from the
@@ -187,20 +159,7 @@ type PortalViews struct {
 	// TTL and backoff windows with a fake clock instead of sleeping.
 	nowFn func() time.Time
 
-	mu         sync.Mutex
-	view       *core.View
-	fetched    time.Time
-	nextRetry  time.Time
-	refreshing bool
-	stats      ViewStats
-}
-
-// now reads the injected clock, defaulting to the wall clock.
-func (p *PortalViews) now() time.Time {
-	if p.nowFn != nil {
-		return p.nowFn()
-	}
-	return time.Now()
+	cache portal.ViewCache
 }
 
 // NewPortalViews builds a PortalViews with default timings.
@@ -208,25 +167,11 @@ func NewPortalViews(client ViewFetcher, ttl time.Duration) *PortalViews {
 	return &PortalViews{Client: client, TTL: ttl}
 }
 
-func (p *PortalViews) ttl() time.Duration {
-	if p.TTL > 0 {
-		return p.TTL
+func (p *PortalViews) policy() portal.RefreshPolicy {
+	return portal.RefreshPolicy{
+		TTL: p.TTL, Timeout: p.RefreshTimeout, Backoff: p.FailureBackoff,
+		Now: p.nowFn, Tracer: p.Tracer, Logger: p.Logger,
 	}
-	return 30 * time.Second
-}
-
-func (p *PortalViews) refreshTimeout() time.Duration {
-	if p.RefreshTimeout > 0 {
-		return p.RefreshTimeout
-	}
-	return 10 * time.Second
-}
-
-func (p *PortalViews) failureBackoff() time.Duration {
-	if p.FailureBackoff > 0 {
-		return p.FailureBackoff
-	}
-	return 5 * time.Second
 }
 
 // ViewFor implements ViewProvider. The ASN argument is unused: one
@@ -234,74 +179,12 @@ func (p *PortalViews) failureBackoff() time.Duration {
 //
 //p4p:coldpath the refresh slow path (network fetch, tracing, logging) dominates this function; the held-view fast path is a mutex check and a pointer return
 func (p *PortalViews) ViewFor(asn int) DistanceView {
-	now := p.now()
-	p.mu.Lock()
-	fresh := p.view != nil && now.Sub(p.fetched) < p.ttl()
-	if fresh || p.refreshing || now.Before(p.nextRetry) {
-		v := p.view
-		if !fresh && p.refreshing {
-			p.stats.Coalesces++
-			p.Metrics.coalesce()
-		}
-		if !fresh && v != nil {
-			p.stats.StaleServes++
-			p.Metrics.staleServe()
-		}
-		if v == nil {
-			p.stats.NilServes++
-			p.Metrics.nilServe()
-		}
-		p.mu.Unlock()
-		if v == nil {
-			return nil // not a typed-nil interface
-		}
-		return v
-	}
-	p.refreshing = true
-	p.mu.Unlock()
-
 	//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; RefreshTimeout is the refresh's only ancestor deadline
-	ctx, cancel := context.WithTimeout(context.Background(), p.refreshTimeout())
-	defer cancel()
-	ctx, span := p.Tracer.StartRoot(ctx, "view_refresh")
-	defer span.End()
-	v, err := p.Client.DistancesContext(ctx)
-
-	p.mu.Lock()
-	p.refreshing = false
-	if err != nil {
-		p.stats.Failures++
-		p.Metrics.failure()
-		p.nextRetry = p.now().Add(p.failureBackoff())
-		if p.Logger != nil {
-			p.Logger.Warn("portal refresh failed, serving last-known-good",
-				slog.String("error", err.Error()))
-		}
-		stale := p.view
-		if stale != nil {
-			p.stats.StaleServes++
-			p.Metrics.staleServe()
-		} else {
-			p.stats.NilServes++
-			p.Metrics.nilServe()
-		}
-		p.mu.Unlock()
-		span.RecordError(err)
-		if stale == nil {
-			span.SetAttr("outcome", "nil_fallback")
-			return nil
-		}
-		span.SetAttr("outcome", "stale_fallback")
-		return stale
+	v, _, ev := p.cache.Get(context.Background(), p.policy(), p.Client)
+	p.Metrics.record(ev)
+	if v == nil {
+		return nil // not a typed-nil interface
 	}
-	p.stats.Refreshes++
-	p.Metrics.refresh()
-	p.view = v
-	p.fetched = p.now()
-	p.nextRetry = time.Time{}
-	p.mu.Unlock()
-	span.SetAttr("outcome", "refreshed")
-	span.SetAttrInt("view_version", v.Version)
 	return v
 }
 
@@ -370,22 +253,17 @@ func viewCovers(v *core.View, pairs []portal.PIDPair) bool {
 // appTracker that would answer every selection from nothing (native
 // random peering) because its portal was unreachable since boot.
 func (p *PortalViews) Ready(maxAge time.Duration) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.view == nil {
+	st := p.cache.Status()
+	if st.View == nil {
 		return false
 	}
-	if maxAge <= 0 {
-		return true
-	}
-	return p.now().Sub(p.fetched) <= maxAge
+	pol := p.policy()
+	return maxAge <= 0 || pol.Since(st.Fetched) <= maxAge
 }
 
 // Stats returns a snapshot of the cache counters.
 func (p *PortalViews) Stats() ViewStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	return p.cache.Status().Stats
 }
 
 // Invalidate expires the held view and any failure backoff, so the next
@@ -394,16 +272,12 @@ func (p *PortalViews) Stats() ViewStats {
 // harnesses call it after a portal-side price update to observe the new
 // view deterministically instead of waiting out the TTL.
 func (p *PortalViews) Invalidate() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fetched = time.Time{}
-	p.nextRetry = time.Time{}
+	p.cache.Invalidate()
 }
 
 // LastKnownGood reports the currently held view (possibly stale) and
 // when it was fetched; ok is false before any successful fetch.
 func (p *PortalViews) LastKnownGood() (v *core.View, fetched time.Time, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.view, p.fetched, p.view != nil
+	st := p.cache.Status()
+	return st.View, st.Fetched, st.View != nil
 }

@@ -10,17 +10,20 @@
 //     one union *core.View (intradomain distances authoritative from
 //     the owning provider, cross-shard distances via intradomain +
 //     interdomain composition, Section 5.4 generalized to live views).
-//   - Router (router.go) is the shard-routing front end that serves the
-//     merged view over the standard portal wire protocol, with per-shard
-//     ETags composed into a federation ETag and per-shard degradation.
-//
-// apptracker.MultiPortalViews builds on Merge from the consuming side.
+//   - MergeCache memoizes Merge by input view identity; the Router and
+//     apptracker.MultiPortalViews both merge through it.
+//   - Router (router.go) is the shard-routing front end: a
+//     portal.Handler over a federated source that refreshes each shard
+//     through its own portal.ViewCache and publishes the merge under a
+//     generation-keyed ETag, so shards degrade independently.
 package federation
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"p4p/internal/core"
 	"p4p/internal/topology"
@@ -248,4 +251,58 @@ func mustRow(v *core.View, pid topology.PID) int {
 		panic(fmt.Sprintf("federation: gateway PID %d vanished from view", pid))
 	}
 	return i
+}
+
+// MergeCache memoizes Merge by the identity of its input views: every
+// consumer of N portals holds each portal's view until a refresh
+// replaces it, so pointer-equal inputs mean nothing changed and the
+// previous result — merged view or error — is returned without
+// recomposing. The federation router and apptracker.MultiPortalViews
+// share it; each applies its own policy to a merge error.
+type MergeCache struct {
+	names []string
+
+	mu       sync.Mutex
+	circuits []Circuit
+	key      []*core.View // input identities of the cached result; nil = empty
+	merged   *core.View
+	err      error
+}
+
+// NewMergeCache builds a cache merging views of the named shards
+// (names[i] labels views[i] in every Merge call) over circuits.
+func NewMergeCache(names []string, circuits []Circuit) *MergeCache {
+	return &MergeCache{names: names, circuits: append([]Circuit(nil), circuits...)}
+}
+
+// SetCircuits replaces the circuits and drops the cached result, so the
+// next Merge recomposes with the new costs.
+func (c *MergeCache) SetCircuits(cs []Circuit) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.circuits = append([]Circuit(nil), cs...)
+	c.key, c.merged, c.err = nil, nil, nil
+}
+
+// Merge composes views (nil entries are shards with nothing to offer
+// and drop out; all-nil merges to nil). fresh reports whether Merge
+// ran, i.e. some input view changed since the previous call.
+func (c *MergeCache) Merge(views []*core.View) (merged *core.View, fresh bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.key != nil && slices.Equal(c.key, views) {
+		return c.merged, false, c.err
+	}
+	shards := make([]ShardView, 0, len(views))
+	for i, v := range views {
+		if v != nil {
+			shards = append(shards, ShardView{Name: c.names[i], View: v})
+		}
+	}
+	c.key = append([]*core.View(nil), views...)
+	c.merged, c.err = nil, nil
+	if len(shards) > 0 {
+		c.merged, c.err = Merge(shards, c.circuits)
+	}
+	return c.merged, true, c.err
 }

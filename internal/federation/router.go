@@ -2,32 +2,23 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"math"
-	"math/rand/v2"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p4p/internal/core"
 	"p4p/internal/health"
+	"p4p/internal/itracker"
 	"p4p/internal/portal"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
 	"p4p/internal/trace"
 )
-
-// tokenHeaderCanon is portal's X-P4P-Token trust-token header in
-// canonical MIME form (incoming headers are stored canonically, so
-// reading with this key never re-canonicalizes or allocates).
-const tokenHeaderCanon = "X-P4p-Token"
 
 // ShardConfig names one backend portal and the PID shard it speaks for.
 type ShardConfig struct {
@@ -77,59 +68,31 @@ type Config struct {
 	Client *portal.Client
 }
 
-// shardState is one backend portal's live state: its client, its
-// last-known-good view, and its health counters.
-type shardState struct {
+// shard is one backend portal: its client and its view state machine.
+type shard struct {
 	cfg    ShardConfig
 	client *portal.Client
-
-	mu        sync.Mutex
-	view      *core.View
-	etag      string // client's validator for view, "" when none
-	fetched   time.Time
-	nextRetry time.Time
-	lastErr   string
-	stats     ShardStats
+	cache  portal.ViewCache
 }
 
-// ShardStats counts one shard's refresh behavior (see ShardStatus for
-// the /stats wire form).
-type ShardStats struct {
-	// Refreshes counts successful view fetches (including 304
-	// revalidations inside the client).
-	Refreshes int64 `json:"refreshes"`
-	// Failures counts fetch attempts that exhausted the client's
-	// retries or returned an out-of-range view.
-	Failures int64 `json:"failures"`
-	// StaleServes counts merge passes that served this shard's
-	// last-known-good view past its TTL (backend slow or down).
-	StaleServes int64 `json:"stale_serves"`
-}
-
-// encodedForm is one fully-rendered response for a view form: encoded
-// body plus precomputed header value slices, so serving writes no new
-// strings (the portal handler's respEntry pattern).
-type encodedForm struct {
-	body     []byte
-	etag     string
-	etagVals []string
-	clenVals []string
-}
-
-// mergedEntry is one published federation state: the merged view, its
-// batch index, and both encoded forms. Immutable once stored.
-type mergedEntry struct {
-	// key fingerprints the inputs: per-shard ETag + version, or
-	// "absent". Same key ⇒ same merged bytes, so a revalidation pass
-	// where every backend said 304 republishes the previous encoding.
-	key           string
-	view          *core.View
-	idx           map[topology.PID]int
-	builtAt       time.Time
-	shardsServing int
-	shardsFresh   int
-	raw           encodedForm
-	ranks         encodedForm
+// DistancesContext fetches the shard's view through the PID-range gate:
+// a view with a PID outside the declared range is a failed fetch, so
+// the shard keeps serving its last-known-good view.
+func (s *shard) DistancesContext(ctx context.Context) (*core.View, error) {
+	v, err := s.client.DistancesContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.MinPID == 0 && s.cfg.MaxPID == 0 {
+		return v, nil
+	}
+	for _, pid := range v.PIDs {
+		if pid < s.cfg.MinPID || pid > s.cfg.MaxPID {
+			return nil, fmt.Errorf("federation: shard %q served PID %d outside its declared range [%d,%d]",
+				s.cfg.Name, pid, s.cfg.MinPID, s.cfg.MaxPID)
+		}
+	}
+	return v, nil
 }
 
 // RouterMetrics instruments the federation router. Per-shard families
@@ -170,20 +133,18 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 	}
 }
 
-func (m *RouterMetrics) shardRefresh(name string) {
-	if m != nil {
+// shard mirrors one shard's ViewCache events.
+func (m *RouterMetrics) shard(name string, ev portal.Event) {
+	if m == nil {
+		return
+	}
+	if ev&portal.EventRefresh != 0 {
 		m.ShardRefreshes.With(name).Inc()
 	}
-}
-
-func (m *RouterMetrics) shardFailure(name string) {
-	if m != nil {
+	if ev&portal.EventFailure != 0 {
 		m.ShardFailures.With(name).Inc()
 	}
-}
-
-func (m *RouterMetrics) shardStale(name string) {
-	if m != nil {
+	if ev&portal.EventStale != 0 {
 		m.ShardStaleServes.With(name).Inc()
 	}
 }
@@ -196,23 +157,13 @@ func (m *RouterMetrics) merge(pids, serving int) {
 	}
 }
 
-func (m *RouterMetrics) serving(n int) {
-	if m != nil {
-		m.ShardsServing.Set(float64(n))
-	}
-}
+// errNoShards is the federated source's answer before any shard has
+// produced a view; the portal handler turns it into a 503.
+var errNoShards = fmt.Errorf("federation: no shard views available: %w", portal.ErrUnavailable)
 
-// errWire mirrors the portal's error envelope.
-type errWire struct {
-	Error string `json:"error"`
-}
-
-// jsonCTVals is the Content-Type value shared by every cached response.
-var jsonCTVals = []string{"application/json"}
-
-// Router is the federation front end: it owns the shard map, keeps one
-// last-known-good view per backend portal, and serves the merged
-// federation view over the standard portal wire protocol —
+// Router is the federation front end: a portal.Handler whose source is
+// the federation itself, so an appTracker cannot tell it from a single
+// very wide iTracker —
 //
 //	GET  /p4p/v1/distances[?form=ranks]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
@@ -220,32 +171,29 @@ var jsonCTVals = []string{"application/json"}
 //	GET  /p4p/v1/pid?ip=a.b.c.d   (proxied shard by shard)
 //	GET  /healthz, /readyz, /stats
 //
-// so an appTracker cannot tell it from a single very wide iTracker.
-// The federation ETag fingerprints every shard's own validator: it
-// changes iff some backend's view (or reachability) changed, and a
-// revalidation pass where every backend answers 304 republishes the
-// previous encoding byte-for-byte. Shards degrade independently: a
-// dead backend keeps serving its last-known-good view, and /readyz
-// fails only when no shard has ever produced one. Policy and
-// capability interfaces stay per-provider and are deliberately not
-// proxied — they are meaningless merged.
+// Each shard's view lives in its own portal.ViewCache (TTL, failure
+// backoff, last-known-good), fetched through the PID-range gate. The
+// merge of those views goes through a MergeCache and is itself held in
+// a ViewCache, whose generation — bumped only when the published merge
+// changes — is the version behind the federation ETag: a revalidation
+// pass where every backend answers 304 republishes the previous
+// encoding byte-for-byte, while a shard version bump or a backend
+// restart (new backend ETag, new view) mints a new one. Shards degrade
+// independently: a dead backend keeps serving its last-known-good view,
+// and /readyz fails only when no shard has ever produced one. Policy
+// and capability interfaces stay per-provider and are deliberately not
+// served (404) — they are meaningless merged.
 type Router struct {
-	// Telemetry instruments and logs every route; its zero value is
-	// inert. Set its fields, do not replace the struct.
-	Telemetry telemetry.Middleware
+	*portal.Handler
 	// Metrics, when non-nil, instruments shard refreshes and merges
 	// (see NewRouterMetrics).
 	Metrics *RouterMetrics
 
-	cfg       Config
-	mux       *http.ServeMux
-	bootNonce string
-	shards    []*shardState
-	trusted   map[string]bool
-
-	merged     atomic.Pointer[mergedEntry]
-	mu         sync.Mutex
-	refreshing chan struct{} // non-nil while one refresh is in flight
+	cfg    Config
+	tokens itracker.Tokens
+	shards []*shard
+	merges *MergeCache
+	view   portal.ViewCache // the published merge
 
 	// nowFn, when non-nil, replaces time.Now so tests drive TTL and
 	// backoff windows with a fake clock instead of sleeping.
@@ -284,483 +232,144 @@ func NewRouter(cfg Config) (*Router, error) {
 	if base == nil {
 		base = portal.NewClient("", "")
 	}
-	rt := &Router{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		bootNonce: fmt.Sprintf("%08x", rand.Uint32()),
-		trusted:   map[string]bool{},
-	}
-	for _, tok := range cfg.TrustedTokens {
-		rt.trusted[tok] = true
-	}
+	rt := &Router{cfg: cfg, tokens: itracker.NewTokens(cfg.TrustedTokens)}
+	order := make([]string, 0, len(cfg.Shards))
 	for _, sc := range cfg.Shards {
 		c := base.WithBase(sc.BaseURL)
 		if sc.Token != "" {
 			c.Token = sc.Token
 		}
-		rt.shards = append(rt.shards, &shardState{cfg: sc, client: c})
+		rt.shards = append(rt.shards, &shard{cfg: sc, client: c})
+		order = append(order, sc.Name)
 	}
-	rt.route("GET /p4p/v1/distances", "distances", rt.handleDistances)
-	rt.route("GET /p4p/v1/distances/batch", "distances_batch", rt.handleBatch)
-	rt.route("POST /p4p/v1/distances/batch", "distances_batch", rt.handleBatch)
-	rt.route("GET /p4p/v1/pid", "pid", rt.handlePID)
-	rt.route("GET /stats", "stats", rt.handleStats)
-	rt.mux.Handle("GET /healthz", health.Handler())
-	rt.mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
-		Name: "federation_view",
-		Probe: func() (bool, string) {
-			ok, detail := rt.Ready()
-			return ok, detail
-		},
+	rt.merges = NewMergeCache(order, cfg.Circuits)
+	rt.Handler = portal.NewHandler(rt)
+	rt.Handle("GET /stats", rt.Telemetry.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
+		rt.WriteJSON(w, r, http.StatusOK, rt.Stats())
 	}))
+	rt.Handle("GET /healthz", health.Handler())
+	rt.Handle("GET /readyz", health.ReadyHandler(health.Check{Name: "federation_view", Probe: rt.Ready}))
 	return rt, nil
 }
 
-func (rt *Router) route(pattern, name string, fn http.HandlerFunc) {
-	rt.mux.Handle(pattern, rt.Telemetry.RouteFunc(name, fn))
-}
-
-// ServeHTTP implements http.Handler.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
-}
-
-func (rt *Router) now() time.Time {
-	if rt.nowFn != nil {
-		// Injectable clock so tests drive TTL/backoff windows without
-		// sleeping; nil in production, where the branch below runs.
-		//p4pvet:ignore allochot indirect clock call allocates nothing; needed for sleep-free fake-clock tests
-		return rt.nowFn()
+func (rt *Router) policy() portal.RefreshPolicy {
+	return portal.RefreshPolicy{
+		TTL: rt.cfg.TTL, Timeout: rt.cfg.RefreshTimeout, Backoff: rt.cfg.FailureBackoff,
+		Now: rt.nowFn, Wait: true,
 	}
-	return time.Now()
 }
 
-func (rt *Router) ttl() time.Duration {
-	if rt.cfg.TTL > 0 {
-		return rt.cfg.TTL
+// merged returns the published merge and its generation, running a
+// refresh pass when the merge is past its TTL.
+//
+//p4p:hotpath inside the TTL this is a token check, a mutex, and a clock read
+func (rt *Router) merged(ctx context.Context, token string) (*core.View, int, error) {
+	if !rt.tokens.Allows(token) {
+		return nil, 0, itracker.ErrAccessDenied
 	}
-	return 30 * time.Second
-}
-
-func (rt *Router) refreshTimeout() time.Duration {
-	if rt.cfg.RefreshTimeout > 0 {
-		return rt.cfg.RefreshTimeout
+	v, gen, _ := rt.view.Get(ctx, rt.policy(), (*refreshPass)(rt))
+	if v == nil {
+		return nil, 0, errNoShards
 	}
-	return 10 * time.Second
+	return v, gen, nil
 }
 
-func (rt *Router) failureBackoff() time.Duration {
-	if rt.cfg.FailureBackoff > 0 {
-		return rt.cfg.FailureBackoff
-	}
-	return 5 * time.Second
-}
-
-func (rt *Router) authorized(token string) bool {
-	if len(rt.trusted) == 0 {
-		return true // open deployment
-	}
-	return rt.trusted[token]
-}
-
-//p4p:coldpath fresh JSON encode; the zero-alloc contract covers the cached byte-copy path
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		body = []byte(`{"error":"response encoding failed"}`)
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// handleDistances serves the merged federation view. Steady state is
-// the portal handler's shape: one atomic load, an ETag compare, and a
-// byte copy of the pre-rendered body.
+// ViewVersionCtx implements portal.Source: the merge generation.
 //
 //p4p:hotpath
-func (rt *Router) handleDistances(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
-	}
-	form := "raw"
-	if r.URL.RawQuery != "" { // parsing the query allocates; skip it when absent
-		if f := r.URL.Query().Get("form"); f != "" {
-			form = f
-		}
-		if form != "raw" && form != "ranks" {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "unknown form; use raw or ranks"})
-			return
-		}
-	}
-	ent := rt.current(r.Context())
-	if ent == nil {
-		rt.writeJSON(w, http.StatusServiceUnavailable, errWire{Error: "no shard views available"})
-		return
-	}
-	ef := &ent.raw
-	if form == "ranks" {
-		ef = &ent.ranks
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && portal.ETagMatches(inm, ef.etag) {
-		w.Header()["Etag"] = ef.etagVals
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	hdr := w.Header()
-	hdr["Content-Type"] = jsonCTVals
-	hdr["Etag"] = ef.etagVals
-	hdr["Content-Length"] = ef.clenVals
-	w.WriteHeader(http.StatusOK)
-	w.Write(ef.body)
+func (rt *Router) ViewVersionCtx(ctx context.Context, token string) (int, error) {
+	_, gen, err := rt.merged(ctx, token)
+	return gen, err
 }
 
-// current returns the entry to serve: the published merge when inside
-// its TTL, else whatever a refresh pass produces. Returns nil only
-// when no shard has ever produced a view.
+// DistancesCtx implements portal.Source: the published merge.
 //
-//p4p:hotpath the fresh branch is one atomic load and a clock read
-func (rt *Router) current(ctx context.Context) *mergedEntry {
-	ent := rt.merged.Load()
-	if ent != nil && rt.now().Sub(ent.builtAt) < rt.ttl() {
-		return ent
-	}
-	return rt.refresh(ctx, ent)
+//p4p:hotpath
+func (rt *Router) DistancesCtx(ctx context.Context, token string) (*core.View, error) {
+	v, _, err := rt.merged(ctx, token)
+	return v, err
 }
 
-// refresh runs (or waits out) one singleflight refresh pass. A caller
-// holding a previous entry is answered from it immediately while the
-// winner refreshes — stale-while-revalidate, so a slow backend never
-// stalls the serving path once the router has any state.
+// EncodedViewCtx implements portal.Source. The handler caches the
+// bytes per generation, so this encodes once per published merge and
+// form.
+func (rt *Router) EncodedViewCtx(ctx context.Context, token, form string, encode itracker.EncodeFunc) ([]byte, int, error) {
+	v, gen, err := rt.merged(ctx, token)
+	if err != nil {
+		return nil, 0, err
+	}
+	body, err := encode(v)
+	return body, gen, err
+}
+
+// LookupPIDCtx implements portal.Source by asking each backend in
+// configuration order: PID assignment is per-provider state the router
+// does not replicate.
+func (rt *Router) LookupPIDCtx(ctx context.Context, token string, ip net.IP) (topology.PID, int, error) {
+	if !rt.tokens.Allows(token) {
+		return 0, 0, itracker.ErrAccessDenied
+	}
+	for _, s := range rt.shards {
+		if out, err := s.client.LookupPIDContext(ctx, ip); err == nil {
+			return out.PID, out.ASN, nil
+		}
+	}
+	return 0, 0, errors.New("no shard maps this IP")
+}
+
+// refreshPass is the Router seen as the fetcher of its published
+// merge: one pass refreshes every shard concurrently, each through its
+// own ViewCache, and merges whatever views exist.
+type refreshPass Router
+
+// DistancesContext runs one pass. It fails only when no shard has a
+// view or the views do not compose (two shards serving one PID: a
+// deployment error, not a transient); the router then keeps serving
+// the previous merge rather than a view known to be wrong.
 //
 //p4p:coldpath runs at most once per TTL window
-func (rt *Router) refresh(ctx context.Context, prev *mergedEntry) *mergedEntry {
-	rt.mu.Lock()
-	if ch := rt.refreshing; ch != nil {
-		rt.mu.Unlock()
-		if prev != nil {
-			return prev
-		}
-		// Cold start: block on the in-flight refresh instead of bouncing
-		// the caller with a 503 the winner is about to obsolete.
-		select {
-		case <-ch:
-			return rt.merged.Load()
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	ch := make(chan struct{})
-	rt.refreshing = ch
-	rt.mu.Unlock()
-	ent := rt.refreshMerged(ctx, prev)
-	rt.mu.Lock()
-	rt.refreshing = nil
-	rt.mu.Unlock()
-	close(ch)
-	return ent
-}
-
-// refreshMerged revalidates every due shard concurrently, then
-// publishes the merge of whatever views exist. Shards in failure
-// backoff, and shards that fail now, contribute their last-known-good
-// view; only a shard with no view at all drops out of the merge.
-//
-//p4p:coldpath
-func (rt *Router) refreshMerged(ctx context.Context, prev *mergedEntry) *mergedEntry {
+func (p *refreshPass) DistancesContext(ctx context.Context) (*core.View, error) {
+	rt := (*Router)(p)
 	ctx, span := trace.StartSpan(ctx, "federation_refresh")
 	defer span.End()
-	now := rt.now()
+	views := make([]*core.View, len(rt.shards))
 	var wg sync.WaitGroup
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		due := (s.view == nil || now.Sub(s.fetched) >= rt.ttl()) && !now.Before(s.nextRetry)
-		s.mu.Unlock()
-		if !due {
-			continue
-		}
+	for i, s := range rt.shards {
 		wg.Add(1)
-		go func(s *shardState) {
+		go func() {
 			defer wg.Done()
-			rt.fetchShard(ctx, s)
-		}(s)
+			pol := rt.policy()
+			if l := rt.Telemetry.Logger; l != nil {
+				pol.Logger = l.With(slog.String("shard", s.cfg.Name))
+			}
+			var ev portal.Event
+			views[i], _, ev = s.cache.Get(ctx, pol, s)
+			rt.Metrics.shard(s.cfg.Name, ev)
+		}()
 	}
 	wg.Wait()
-
-	views := make([]ShardView, 0, len(rt.shards))
-	var keyb strings.Builder
-	serving, fresh := 0, 0
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		v, etag, fetched := s.view, s.etag, s.fetched
-		stale := v != nil && now.Sub(fetched) >= rt.ttl()
-		if stale {
-			s.stats.StaleServes++
-		}
-		s.mu.Unlock()
-		if stale {
-			rt.Metrics.shardStale(s.cfg.Name)
-		}
-		keyb.WriteString(s.cfg.Name)
-		keyb.WriteByte('=')
-		if v == nil {
-			keyb.WriteString("absent")
-		} else {
-			keyb.WriteString(etag)
-			keyb.WriteByte('#')
-			keyb.WriteString(strconv.Itoa(v.Version))
-			views = append(views, ShardView{Name: s.cfg.Name, View: v})
+	serving := 0
+	for _, v := range views {
+		if v != nil {
 			serving++
-			if !stale {
-				fresh++
-			}
 		}
-		keyb.WriteByte(';')
 	}
 	span.SetAttrInt("shards_serving", serving)
-	if serving == 0 {
-		rt.Metrics.serving(0)
-		return nil
-	}
-	key := keyb.String()
-	if prev != nil && prev.key == key {
-		// Nothing changed: republish the previous encoding under a new
-		// TTL window. Bodies and header slices are shared, immutable.
-		ent := *prev
-		ent.builtAt = now
-		ent.shardsServing = serving
-		ent.shardsFresh = fresh
-		rt.merged.Store(&ent)
-		return &ent
-	}
-	merged, err := Merge(views, rt.cfg.Circuits)
-	if err != nil {
-		// Two shards serving the same PID: a deployment error, not a
-		// transient. Keep the previous merge (if any) rather than serve
-		// a view we know is wrong.
+	merged, fresh, err := rt.merges.Merge(views)
+	switch {
+	case err != nil:
 		span.RecordError(err)
-		if l := rt.Telemetry.Logger; l != nil {
-			l.Error("federation merge failed, keeping previous view",
-				slog.String("error", err.Error()))
+		if l := rt.Telemetry.Logger; l != nil && fresh {
+			l.Error("federation merge failed, keeping previous view", slog.String("error", err.Error()))
 		}
-		return prev
-	}
-	ent, err := rt.render(merged, key, now, serving, fresh)
-	if err != nil {
-		span.RecordError(err)
-		if l := rt.Telemetry.Logger; l != nil {
-			l.Error("federation view encode failed, keeping previous view",
-				slog.String("error", err.Error()))
-		}
-		return prev
-	}
-	rt.merged.Store(ent)
-	rt.Metrics.merge(len(merged.PIDs), serving)
-	span.SetAttrInt("merged_pids", len(merged.PIDs))
-	return ent
-}
-
-// fetchShard refreshes one backend's view. The shard mutex is taken
-// only after the network round-trip resolves.
-//
-//p4p:coldpath
-func (rt *Router) fetchShard(ctx context.Context, s *shardState) {
-	ctx, cancel := context.WithTimeout(ctx, rt.refreshTimeout())
-	defer cancel()
-	v, err := s.client.DistancesContext(ctx)
-	if err == nil {
-		err = s.cfg.checkRange(v)
-	}
-	now := rt.now()
-	s.mu.Lock()
-	if err != nil {
-		s.stats.Failures++
-		s.lastErr = err.Error()
-		s.nextRetry = now.Add(rt.failureBackoff())
-		s.mu.Unlock()
-		rt.Metrics.shardFailure(s.cfg.Name)
-		if l := rt.Telemetry.Logger; l != nil {
-			l.Warn("shard refresh failed, serving last-known-good",
-				slog.String("shard", s.cfg.Name),
-				slog.String("error", err.Error()))
-		}
-		return
-	}
-	s.view = v
-	s.etag = s.client.ViewETag("raw")
-	s.fetched = now
-	s.nextRetry = time.Time{}
-	s.lastErr = ""
-	s.stats.Refreshes++
-	s.mu.Unlock()
-	rt.Metrics.shardRefresh(s.cfg.Name)
-}
-
-// checkRange rejects a view whose PIDs fall outside the shard's
-// declared range.
-func (sc ShardConfig) checkRange(v *core.View) error {
-	if sc.MinPID == 0 && sc.MaxPID == 0 {
-		return nil
-	}
-	for _, pid := range v.PIDs {
-		if pid < sc.MinPID || pid > sc.MaxPID {
-			return fmt.Errorf("federation: shard %q served PID %d outside its declared range [%d,%d]",
-				sc.Name, pid, sc.MinPID, sc.MaxPID)
-		}
-	}
-	return nil
-}
-
-// render encodes both wire forms of a merged view and composes the
-// federation ETags from the input fingerprint.
-//
-//p4p:coldpath runs once per input change; the fmt work is the point of pre-rendering
-func (rt *Router) render(v *core.View, key string, now time.Time, serving, fresh int) (*mergedEntry, error) {
-	raw, err := json.Marshal(portal.ToWire(v))
-	if err != nil {
 		return nil, err
+	case merged == nil:
+		return nil, errNoShards
+	case fresh:
+		rt.Metrics.merge(len(merged.PIDs), serving)
+		span.SetAttrInt("merged_pids", len(merged.PIDs))
 	}
-	ranks, err := json.Marshal(portal.ToWire(core.RankView(v)))
-	if err != nil {
-		return nil, err
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	sum := h.Sum64()
-	idx := make(map[topology.PID]int, len(v.PIDs))
-	for i, p := range v.PIDs {
-		idx[p] = i
-	}
-	return &mergedEntry{
-		key:           key,
-		view:          v,
-		idx:           idx,
-		builtAt:       now,
-		shardsServing: serving,
-		shardsFresh:   fresh,
-		raw:           rt.newForm(sum, "raw", append(raw, '\n')),
-		ranks:         rt.newForm(sum, "ranks", append(ranks, '\n')),
-	}, nil
-}
-
-func (rt *Router) newForm(sum uint64, form string, body []byte) encodedForm {
-	etag := fmt.Sprintf("%q", fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, sum, form))
-	return encodedForm{
-		body:     body,
-		etag:     etag,
-		etagVals: []string{etag},
-		clenVals: []string{strconv.Itoa(len(body))},
-	}
-}
-
-// handleBatch answers src/dst pair queries from the merged view — the
-// cross-shard pairs are exactly what a single backend cannot answer.
-//
-//p4p:hotpath
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
-	}
-	pairs, ok := rt.readBatchPairs(w, r)
-	if !ok {
-		return
-	}
-	ent := rt.current(r.Context())
-	if ent == nil {
-		rt.writeJSON(w, http.StatusServiceUnavailable, errWire{Error: "no shard views available"})
-		return
-	}
-	out := portal.BatchResponseWire{Version: ent.view.Version, Distances: make([]float64, len(pairs))}
-	for k, pr := range pairs {
-		a, okA := ent.idx[pr.Src]
-		b, okB := ent.idx[pr.Dst]
-		if !okA || !okB {
-			pid := pr.Src
-			if okA {
-				pid = pr.Dst
-			}
-			//p4pvet:ignore allochot error formatting runs only for unknown PIDs, off the measured path
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: fmt.Sprintf("PID %d not in the federation view", pid)})
-			return
-		}
-		if d := ent.view.D[a][b]; math.IsInf(d, 0) {
-			out.Distances[k] = portal.Unreachable
-		} else {
-			out.Distances[k] = d
-		}
-	}
-	rt.writeJSON(w, http.StatusOK, out)
-}
-
-// maxBatchBody bounds the POST body of a batch request, mirroring the
-// backend portals' limit.
-const maxBatchBody = 8 << 20
-
-// maxBatchPairs mirrors the portal's per-request pair bound.
-const maxBatchPairs = 65536
-
-// readBatchPairs parses either wire form of a batch request; on error
-// it writes the 400 and reports !ok.
-//
-//p4p:coldpath request parsing allocates by nature; the batch hot loop is the lookup above
-func (rt *Router) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]portal.PIDPair, bool) {
-	var pairs []portal.PIDPair
-	if r.Method == http.MethodPost {
-		var req portal.BatchRequestWire
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-		if err := dec.Decode(&req); err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "decode request body: " + err.Error()})
-			return nil, false
-		}
-		pairs = req.Pairs
-	} else {
-		var err error
-		pairs, err = portal.ParsePairs(r.URL.Query().Get("pairs"))
-		if err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: err.Error()})
-			return nil, false
-		}
-	}
-	if len(pairs) == 0 {
-		rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "empty pairs list"})
-		return nil, false
-	}
-	if len(pairs) > maxBatchPairs {
-		rt.writeJSON(w, http.StatusBadRequest,
-			errWire{Error: fmt.Sprintf("%d pairs exceeds the %d-pair batch limit", len(pairs), maxBatchPairs)})
-		return nil, false
-	}
-	return pairs, true
-}
-
-// handlePID proxies IP→PID lookup shard by shard: PID assignment is
-// per-provider state the router does not replicate, so it asks each
-// backend in configuration order and returns the first answer.
-//
-//p4p:coldpath network round-trips dominate; nothing here is steady-state
-func (rt *Router) handlePID(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
-	}
-	ip := net.ParseIP(r.URL.Query().Get("ip"))
-	if ip == nil {
-		rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "missing or malformed ip parameter"})
-		return
-	}
-	for _, s := range rt.shards {
-		out, err := s.client.LookupPIDContext(r.Context(), ip)
-		if err == nil {
-			rt.writeJSON(w, http.StatusOK, out)
-			return
-		}
-	}
-	rt.writeJSON(w, http.StatusNotFound, errWire{Error: "no shard maps this IP"})
+	return merged, nil
 }
 
 // ShardStatus is one shard's row in the /stats body.
@@ -774,7 +383,7 @@ type ShardStatus struct {
 	PIDs      int    `json:"pids,omitempty"`
 	ETag      string `json:"etag,omitempty"`
 	LastError string `json:"last_error,omitempty"`
-	ShardStats
+	portal.ViewStats
 }
 
 // MergedStatus describes the published merge in the /stats body.
@@ -794,58 +403,55 @@ type RouterStats struct {
 
 // Stats snapshots per-shard and merged state for /stats.
 func (rt *Router) Stats() RouterStats {
-	now := rt.now()
+	pol := rt.policy()
 	out := RouterStats{Shards: make([]ShardStatus, 0, len(rt.shards))}
+	serving, fresh := 0, 0
 	for _, s := range rt.shards {
-		s.mu.Lock()
+		cs := s.cache.Status()
 		st := ShardStatus{
-			Name:       s.cfg.Name,
-			URL:        s.cfg.BaseURL,
-			HasView:    s.view != nil,
-			ETag:       s.etag,
-			LastError:  s.lastErr,
-			ShardStats: s.stats,
+			Name:      s.cfg.Name,
+			URL:       s.cfg.BaseURL,
+			HasView:   cs.View != nil,
+			Fresh:     pol.Fresh(cs),
+			ETag:      s.client.ViewETag("raw"),
+			LastError: cs.LastErr,
+			ViewStats: cs.Stats,
 		}
-		if s.view != nil {
-			st.Fresh = now.Sub(s.fetched) < rt.ttl()
-			st.Version = s.view.Version
-			st.PIDs = len(s.view.PIDs)
+		if cs.View != nil {
+			st.Version = cs.View.Version
+			st.PIDs = len(cs.View.PIDs)
+			serving++
 		}
-		s.mu.Unlock()
+		if st.Fresh {
+			fresh++
+		}
 		out.Shards = append(out.Shards, st)
 	}
-	if ent := rt.merged.Load(); ent != nil {
+	if ms := rt.view.Status(); ms.View != nil {
 		out.Merged = &MergedStatus{
-			Version:       ent.view.Version,
-			PIDs:          len(ent.view.PIDs),
-			ShardsServing: ent.shardsServing,
-			ShardsFresh:   ent.shardsFresh,
-			ETag:          ent.raw.etag,
+			Version:       ms.View.Version,
+			PIDs:          len(ms.View.PIDs),
+			ShardsServing: serving,
+			ShardsFresh:   fresh,
+			ETag:          rt.ETag(ms.Gen, "raw"),
 		}
 	}
 	return out
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, rt.Stats())
 }
 
 // Ready reports whether the router can serve: at least one shard holds
 // a view (fresh or last-known-good). The detail string distinguishes a
 // full federation from a degraded one for /readyz readers.
 func (rt *Router) Ready() (bool, string) {
-	now := rt.now()
+	st := rt.Stats()
 	serving, fresh := 0, 0
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		if s.view != nil {
+	for _, s := range st.Shards {
+		if s.HasView {
 			serving++
-			if now.Sub(s.fetched) < rt.ttl() {
-				fresh++
-			}
 		}
-		s.mu.Unlock()
+		if s.Fresh {
+			fresh++
+		}
 	}
-	detail := fmt.Sprintf("%d/%d shards serving (%d fresh)", serving, len(rt.shards), fresh)
-	return serving > 0, detail
+	return serving > 0, fmt.Sprintf("%d/%d shards serving (%d fresh)", serving, len(rt.shards), fresh)
 }

@@ -150,7 +150,7 @@ type Server struct {
 	cachedVer   int
 	inflight    chan struct{} // non-nil while one goroutine materializes
 	recomputes  int64
-	trusted     map[string]bool
+	trusted     Tokens
 	queryCount  int64
 	updateCount int64
 
@@ -179,12 +179,9 @@ var ErrAccessDenied = errors.New("itracker: access denied")
 func New(cfg Config, engine *core.Engine, pidMap *PIDMap) *Server {
 	t := &Server{
 		cfg: cfg, engine: engine, pidMap: pidMap,
-		trusted:     map[string]bool{},
+		trusted:     NewTokens(cfg.TrustedTokens),
 		encoded:     map[string]*encodedEntry{},
 		encInflight: map[string]chan struct{}{},
-	}
-	for _, tok := range cfg.TrustedTokens {
-		t.trusted[tok] = true
 	}
 	if len(cfg.ServePIDs) > 0 {
 		pids := append([]topology.PID(nil), cfg.ServePIDs...)
@@ -209,12 +206,22 @@ func (t *Server) ASN() int { return t.cfg.ASN }
 // Engine exposes the underlying p-distance engine (provider side only).
 func (t *Server) Engine() *core.Engine { return t.engine }
 
-// authorized reports whether a token may use restricted interfaces.
-func (t *Server) authorized(token string) bool {
-	if len(t.trusted) == 0 {
-		return true // open deployment
+// Tokens is a set of trusted appTracker tokens; an empty set is an
+// open deployment. The iTracker and the federation router share it.
+type Tokens map[string]bool
+
+// NewTokens builds a token set.
+func NewTokens(list []string) Tokens {
+	t := make(Tokens, len(list))
+	for _, tok := range list {
+		t[tok] = true
 	}
-	return t.trusted[token]
+	return t
+}
+
+// Allows reports whether a token may use restricted interfaces.
+func (t Tokens) Allows(token string) bool {
+	return len(t) == 0 || t[token]
 }
 
 // PolicyFor serves the policy interface.
@@ -246,7 +253,7 @@ func (t *Server) Distances(token string) (*core.View, error) {
 //
 //p4p:hotpath cache-hit serving path; the recompute slow path is cut at materialize
 func (t *Server) DistancesCtx(ctx context.Context, token string) (*core.View, error) {
-	if !t.authorized(token) {
+	if !t.trusted.Allows(token) {
 		return nil, ErrAccessDenied
 	}
 	t.mu.Lock()
@@ -342,7 +349,7 @@ func (t *Server) EncodedView(token, form string, encode EncodeFunc) ([]byte, int
 //
 //p4p:hotpath steady-state byte replay; the encode slow path is cut at encodeView
 func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode EncodeFunc) ([]byte, int, error) {
-	if !t.authorized(token) {
+	if !t.trusted.Allows(token) {
 		return nil, 0, ErrAccessDenied
 	}
 	t.mu.Lock()
@@ -409,10 +416,18 @@ func (t *Server) encodeView(ctx context.Context, token, form string, encode Enco
 //
 //p4p:hotpath conditional-GET fast path; runs on every If-None-Match request
 func (t *Server) ViewVersion(token string) (int, error) {
-	if !t.authorized(token) {
+	if !t.trusted.Allows(token) {
 		return 0, ErrAccessDenied
 	}
 	return t.engine.Version(), nil
+}
+
+// ViewVersionCtx is ViewVersion in the portal.Source shape; the
+// version is a local read, so the context is unused.
+//
+//p4p:hotpath conditional-GET fast path behind portal.Handler
+func (t *Server) ViewVersionCtx(_ context.Context, token string) (int, error) {
+	return t.ViewVersion(token)
 }
 
 // Ready reports whether a materialized view is cached — the readiness
@@ -448,7 +463,7 @@ func (t *Server) RankedDistances(token string) (*core.View, error) {
 // entries for untrusted callers ("A provider may also conduct access
 // control for some contents").
 func (t *Server) Capabilities(token, kind string) ([]Capability, error) {
-	trusted := t.authorized(token)
+	trusted := t.trusted.Allows(token)
 	var out []Capability
 	for _, c := range t.cfg.Capabilities {
 		if kind != "" && c.Kind != kind {
@@ -479,6 +494,12 @@ func (t *Server) LookupPID(ip net.IP) (topology.PID, int, error) {
 		return -1, 0, fmt.Errorf("itracker %s: %v not in this network", t.cfg.Name, ip)
 	}
 	return pid, t.cfg.ASN, nil
+}
+
+// LookupPIDCtx is LookupPID in the portal.Source shape. PID lookup is
+// public and local, so the context and token are unused.
+func (t *Server) LookupPIDCtx(_ context.Context, _ string, ip net.IP) (topology.PID, int, error) {
+	return t.LookupPID(ip)
 }
 
 // ObserveAndUpdate is the provider-side measurement hook: install the

@@ -1,8 +1,14 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"p4p/internal/core"
@@ -67,4 +73,76 @@ func checkViewInvariants(t *testing.T, v *core.View) {
 			}
 		}
 	}
+}
+
+// formatPairs renders pairs in ParsePairs' input syntax.
+func formatPairs(pairs []PIDPair) string {
+	parts := make([]string, len(pairs))
+	for i, p := range pairs {
+		parts[i] = strconv.Itoa(int(p.Src)) + "-" + strconv.Itoa(int(p.Dst))
+	}
+	return strings.Join(parts, ",")
+}
+
+// FuzzParsePairs checks the GET batch parser: it never panics, and
+// whatever it accepts re-formats and parses back to the same pairs.
+func FuzzParsePairs(f *testing.F) {
+	for _, s := range []string{"0-1", "0-1,1-2,2-0", "", "0_1", "a-b", "1-", "-1-2", "1--2", "+3-4", "0-1,", "99999999999999999999-0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pairs, err := ParsePairs(s)
+		if err != nil {
+			return
+		}
+		again, err := ParsePairs(formatPairs(pairs))
+		if err != nil {
+			t.Fatalf("re-formatted pairs %q rejected: %v", formatPairs(pairs), err)
+		}
+		if !slices.Equal(pairs, again) {
+			t.Fatalf("round trip drifted: %v -> %v", pairs, again)
+		}
+	})
+}
+
+// FuzzBatchBody posts arbitrary bodies to a live batch endpoint: the
+// handler answers 200 or 400, never 500 or a panic, and every body the
+// parser accepts re-encodes and parses back to the same pairs.
+func FuzzBatchBody(f *testing.F) {
+	for _, s := range []string{
+		`{"pairs":[{"src":0,"dst":1}]}`,
+		`{"pairs":[{"src":0,"dst":1},{"src":2,"dst":0}]}`,
+		`{"pairs":[]}`,
+		`{"pairs":[{"src":0,"dst":1}]}garbage`,
+		`{"pairs":[{"src":0,"dst":9999}]}`,
+		`{"pairs":`,
+		`null`,
+		`{"pairs":[{"src":-1,"dst":1.5}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	h, _ := newBenchPortal(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/p4p/v1/distances/batch", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		pairs, err := ParseBatchBody(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(BatchRequestWire{Pairs: pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseBatchBody(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded body %s rejected: %v", enc, err)
+		}
+		if !slices.Equal(pairs, again) {
+			t.Fatalf("round trip drifted: %v -> %v", pairs, again)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,27 +42,61 @@ const maxBatchBody = 8 << 20
 // slice keeps the steady-state path allocation-free).
 var jsonCTVals = []string{"application/json"}
 
-// Handler serves one iTracker's interfaces over HTTP:
+// Source is what a Handler serves: the calls the portal makes on an
+// iTracker, and on the federation router that stands in for a very
+// wide one. *itracker.Server implements it; a source that is also a
+// PolicySource or CapabilitySource gets those routes too.
 //
-//	GET  /p4p/v1/policy
+// Errors map onto statuses: itracker.ErrAccessDenied is 403 and
+// ErrUnavailable is 503 everywhere; any other error is 404 on the PID
+// route and 500 elsewhere.
+type Source interface {
+	// ViewVersionCtx reports the version the distances endpoint would
+	// serve; it keys the encoded-response cache and the ETag.
+	ViewVersionCtx(ctx context.Context, token string) (int, error)
+	// EncodedViewCtx returns the encoded body of the current view and
+	// the version it belongs to.
+	EncodedViewCtx(ctx context.Context, token, form string, encode itracker.EncodeFunc) ([]byte, int, error)
+	// DistancesCtx returns the current view (the batch endpoint).
+	DistancesCtx(ctx context.Context, token string) (*core.View, error)
+	// LookupPIDCtx maps a client address to its PID and AS number.
+	LookupPIDCtx(ctx context.Context, token string, ip net.IP) (topology.PID, int, error)
+}
+
+// PolicySource is a Source that serves the policy interface.
+type PolicySource interface {
+	PolicyFor(token string) (itracker.Policy, error)
+}
+
+// CapabilitySource is a Source that serves the capability interface.
+type CapabilitySource interface {
+	Capabilities(token, kind string) ([]itracker.Capability, error)
+}
+
+// ErrUnavailable reports a source with no view to serve yet; the
+// handler answers 503.
+var ErrUnavailable = errors.New("portal: no view available")
+
+// Handler serves one Source over HTTP:
+//
+//	GET  /p4p/v1/policy              (PolicySource only)
 //	GET  /p4p/v1/distances[?form=ranks]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
 //	POST /p4p/v1/distances/batch
-//	GET  /p4p/v1/capabilities[?kind=...]
+//	GET  /p4p/v1/capabilities[?kind=...]  (CapabilitySource only)
 //	GET  /p4p/v1/pid?ip=a.b.c.d
 //
 // All responses are JSON; errors use {"error": "..."} envelopes. The
 // distances endpoint is version-cacheable: responses carry an ETag
-// derived from the engine version and a per-process boot nonce, and
-// requests presenting a current version via If-None-Match get 304 Not
-// Modified with no body, so refreshing appTrackers pay nothing when the
-// view has not changed.
+// derived from the source's view version and a per-process boot nonce,
+// and requests presenting a current version via If-None-Match get 304
+// Not Modified with no body, so refreshing appTrackers pay nothing when
+// the view has not changed.
 //
 // The 200 path is cached too: the fully-encoded JSON body and its
-// ETag/Content-Length header values are kept per (engine version, form)
-// — materialized under the iTracker's singleflight, invalidated by
-// version bump — so a steady-state response is a byte copy that never
-// touches json.Marshal (see DESIGN.md §10).
+// ETag/Content-Length header values are kept per (view version, form)
+// — invalidated by version bump — so a steady-state response is a byte
+// copy that never touches json.Marshal (see DESIGN.md §10).
 //
 // Every route runs through Telemetry, which mints a request ID (echoed
 // in X-Request-ID and carried on the request context when a Logger is
@@ -70,7 +105,7 @@ var jsonCTVals = []string{"application/json"}
 // log line per request. Set Telemetry.Metrics and Telemetry.Logger
 // after NewHandler, before serving.
 type Handler struct {
-	Tracker *itracker.Server
+	Source Source
 	// Telemetry instruments and logs every route; its zero value is
 	// inert. Set its fields, do not replace the struct (route
 	// registrations live inside it).
@@ -81,7 +116,7 @@ type Handler struct {
 	mux          *http.ServeMux
 
 	// bootNonce distinguishes this process's ETags from a restarted
-	// portal at the same engine version: version counters restart at
+	// portal at the same view version: version counters restart at
 	// zero, so without the nonce a client's stale If-None-Match could
 	// spuriously revalidate against a fresh process serving different
 	// data.
@@ -145,20 +180,40 @@ func (m *CacheMetrics) miss() {
 	}
 }
 
-// NewHandler builds the HTTP handler for an iTracker.
-func NewHandler(tr *itracker.Server) *Handler {
+// NewHandler builds the HTTP handler for a source.
+func NewHandler(src Source) *Handler {
 	h := &Handler{
-		Tracker:   tr,
+		Source:    src,
 		mux:       http.NewServeMux(),
 		bootNonce: fmt.Sprintf("%08x", rand.Uint32()),
 	}
-	h.route("GET /p4p/v1/policy", "policy", h.handlePolicy)
+	if ps, ok := src.(PolicySource); ok {
+		h.route("GET /p4p/v1/policy", "policy", func(w http.ResponseWriter, r *http.Request) {
+			pol, err := ps.PolicyFor(r.Header.Get(tokenHeaderCanon))
+			h.writeResult(w, r, pol, err)
+		})
+	}
+	if cs, ok := src.(CapabilitySource); ok {
+		h.route("GET /p4p/v1/capabilities", "capabilities", func(w http.ResponseWriter, r *http.Request) {
+			caps, err := cs.Capabilities(r.Header.Get(tokenHeaderCanon), r.URL.Query().Get("kind"))
+			if caps == nil {
+				caps = []itracker.Capability{}
+			}
+			h.writeResult(w, r, caps, err)
+		})
+	}
 	h.route("GET /p4p/v1/distances", "distances", h.handleDistances)
 	h.route("GET /p4p/v1/distances/batch", "distances_batch", h.handleBatch)
 	h.route("POST /p4p/v1/distances/batch", "distances_batch", h.handleBatch)
-	h.route("GET /p4p/v1/capabilities", "capabilities", h.handleCapabilities)
 	h.route("GET /p4p/v1/pid", "pid", h.handlePID)
 	return h
+}
+
+// Handle registers an extra route on the handler's mux, outside the
+// /p4p/v1 interfaces (e.g. a router's /stats and probes). Wrap it with
+// Telemetry.RouteFunc to instrument it.
+func (h *Handler) Handle(pattern string, handler http.Handler) {
+	h.mux.Handle(pattern, handler)
 }
 
 func (h *Handler) route(pattern, name string, fn http.HandlerFunc) {
@@ -170,14 +225,14 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// writeJSON encodes v to a buffer before touching the ResponseWriter,
+// WriteJSON encodes v to a buffer before touching the ResponseWriter,
 // so an encoding failure (e.g. a NaN sneaking into a matrix) yields a
 // clean 500 error envelope instead of a truncated HTTP 200. Buffering
 // also supplies Content-Length, keeping responses out of chunked
 // transfer encoding.
 //
 //p4p:coldpath fresh JSON encode; the zero-alloc contract covers the cached byte-copy path, not per-request marshaling
-func (h *Handler) writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
+func (h *Handler) WriteJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		if l := h.Telemetry.Logger; l != nil {
@@ -195,22 +250,29 @@ func (h *Handler) writeJSON(w http.ResponseWriter, r *http.Request, status int, 
 	w.Write(body)
 }
 
+// writeErr answers a source error: itracker.ErrAccessDenied is 403,
+// ErrUnavailable 503, anything else the given status.
+//
 //p4p:coldpath error responses are off the measured serving path
-func (h *Handler) writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusInternalServerError
-	if errors.Is(err, itracker.ErrAccessDenied) {
+func (h *Handler) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
+	switch {
+	case errors.Is(err, itracker.ErrAccessDenied):
 		status = http.StatusForbidden
+	case errors.Is(err, ErrUnavailable):
+		status = http.StatusServiceUnavailable
 	}
-	h.writeJSON(w, r, status, errorWire{Error: err.Error()})
+	h.WriteJSON(w, r, status, errorWire{Error: err.Error()})
 }
 
-func (h *Handler) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	pol, err := h.Tracker.PolicyFor(r.Header.Get(tokenHeaderCanon))
+// writeResult writes v, or the source error that replaced it.
+//
+//p4p:coldpath fresh JSON encode of a small policy or capability body
+func (h *Handler) writeResult(w http.ResponseWriter, r *http.Request, v interface{}, err error) {
 	if err != nil {
-		h.writeErr(w, r, err)
+		h.writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	h.writeJSON(w, r, http.StatusOK, pol)
+	h.WriteJSON(w, r, http.StatusOK, v)
 }
 
 // ETagMatches reports whether an If-None-Match header value matches the
@@ -243,24 +305,37 @@ func (h *Handler) cacheFor(form string) *atomic.Pointer[respEntry] {
 	return &h.cacheRaw
 }
 
-// newRespEntry renders the headers for an encoded body once, so serving
-// the entry later formats nothing.
+// ETag is the entity tag the distances endpoint sends for a view
+// version and form: "<boot-nonce>-v<version>-<form>", quoted.
+func (h *Handler) ETag(version int, form string) string {
+	return fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-%s", h.bootNonce, version, form))
+}
+
+// fill re-encodes the source's current view for a form and publishes
+// the rendered entry. A version bump racing the encode can leave the
+// entry one version behind; the next request simply misses again.
 //
 //p4p:coldpath runs once per (version, form) cache miss; its fmt work is the point of pre-rendering
-func (h *Handler) newRespEntry(version int, form string, body []byte) *respEntry {
-	etag := fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-%s", h.bootNonce, version, form))
-	return &respEntry{
+func (h *Handler) fill(r *http.Request, token, form string) (*respEntry, error) {
+	body, version, err := h.Source.EncodedViewCtx(r.Context(), token, form, encoderFor(form))
+	if err != nil {
+		return nil, err
+	}
+	etag := h.ETag(version, form)
+	ent := &respEntry{
 		version:  version,
 		body:     body,
 		etag:     etag,
 		etagVals: []string{etag},
 		clenVals: []string{strconv.Itoa(len(body))},
 	}
+	h.cacheFor(form).Store(ent)
+	return ent, nil
 }
 
 // encodeRawView and encodeRankedView are the EncodeFuncs the portal
 // installs into the iTracker's encoded-view cache. Bodies include the
-// trailing newline writeJSON appends, so cached and freshly-encoded
+// trailing newline WriteJSON appends, so cached and freshly-encoded
 // responses are byte-identical.
 func encodeRawView(v *core.View) ([]byte, error) {
 	b, err := json.Marshal(ToWire(v))
@@ -298,30 +373,23 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 			form = f
 		}
 		if form != "raw" && form != "ranks" {
-			h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw or ranks"})
+			h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw or ranks"})
 			return
 		}
 	}
-	ver, err := h.Tracker.ViewVersion(token)
+	//p4pvet:ignore allochot Source implementations' version reads are //p4p:hotpath roots of their own
+	ver, err := h.Source.ViewVersionCtx(r.Context(), token)
 	if err != nil {
-		h.writeErr(w, r, err)
+		h.writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	cache := h.cacheFor(form)
-	ent := cache.Load()
+	ent := h.cacheFor(form).Load()
 	if ent == nil || ent.version != ver {
-		// Cold cache or version bump: re-encode under the iTracker's
-		// singleflight and publish the rendered entry. A price update
-		// racing the encode can leave the entry one version behind; the
-		// next request simply misses again.
 		h.CacheMetrics.miss()
-		body, version, err := h.Tracker.EncodedViewCtx(r.Context(), token, form, encoderFor(form))
-		if err != nil {
-			h.writeErr(w, r, err)
+		if ent, err = h.fill(r, token, form); err != nil {
+			h.writeErr(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		ent = h.newRespEntry(version, form, body)
-		cache.Store(ent)
 	} else {
 		h.CacheMetrics.hit()
 	}
@@ -351,22 +419,59 @@ func ParsePairs(s string) ([]PIDPair, error) {
 	for _, p := range parts {
 		dash := strings.IndexByte(p, '-')
 		if dash < 0 {
-			//p4pvet:ignore allochot error formatting runs only for malformed requests, off the measured path
 			return nil, fmt.Errorf("malformed pair %q; want src-dst", p)
 		}
 		src, err := strconv.Atoi(p[:dash])
 		if err != nil {
-			//p4pvet:ignore allochot error formatting runs only for malformed requests, off the measured path
 			return nil, fmt.Errorf("malformed pair %q: %v", p, err)
 		}
 		dst, err := strconv.Atoi(p[dash+1:])
 		if err != nil {
-			//p4pvet:ignore allochot error formatting runs only for malformed requests, off the measured path
 			return nil, fmt.Errorf("malformed pair %q: %v", p, err)
 		}
 		out = append(out, PIDPair{Src: topology.PID(src), Dst: topology.PID(dst)})
 	}
 	return out, nil
+}
+
+// ParseBatchBody decodes the POST form of a batch request: exactly one
+// JSON object of at most maxBatchBody bytes.
+func ParseBatchBody(body io.Reader) ([]PIDPair, error) {
+	b, err := io.ReadAll(io.LimitReader(body, maxBatchBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("read request body: %v", err)
+	}
+	if len(b) > maxBatchBody {
+		return nil, fmt.Errorf("request body exceeds the %d-byte batch limit", maxBatchBody)
+	}
+	var req BatchRequestWire
+	if err := json.Unmarshal(b, &req); err != nil {
+		return nil, fmt.Errorf("decode request body: %v", err)
+	}
+	return req.Pairs, nil
+}
+
+// parseBatch reads either wire form of a batch request and bounds its
+// size. Every error it returns is the caller's fault (400).
+//
+//p4p:coldpath request parsing allocates by nature; the batch hot loop is the row lookup
+func parseBatch(r *http.Request) ([]PIDPair, error) {
+	var pairs []PIDPair
+	var err error
+	if r.Method == http.MethodPost {
+		pairs, err = ParseBatchBody(r.Body)
+	} else {
+		pairs, err = ParsePairs(r.URL.Query().Get("pairs"))
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case len(pairs) == 0:
+		return nil, errors.New("empty pairs list")
+	case len(pairs) > maxBatchPairs:
+		return nil, fmt.Errorf("%d pairs exceeds the %d-pair batch limit", len(pairs), maxBatchPairs)
+	}
+	return pairs, nil
 }
 
 // pidIndexFor returns the PID→row map for a view, cached by view
@@ -392,40 +497,15 @@ func (h *Handler) pidIndexFor(v *core.View) map[topology.PID]int {
 //
 //p4p:hotpath
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	token := r.Header.Get(tokenHeaderCanon)
-	var pairs []PIDPair
-	if r.Method == http.MethodPost {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
-		if err != nil {
-			h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: "read request body: " + err.Error()})
-			return
-		}
-		var req BatchRequestWire
-		if err := json.Unmarshal(body, &req); err != nil {
-			h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: "decode request body: " + err.Error()})
-			return
-		}
-		pairs = req.Pairs
-	} else {
-		var err error
-		pairs, err = ParsePairs(r.URL.Query().Get("pairs"))
-		if err != nil {
-			h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: err.Error()})
-			return
-		}
-	}
-	if len(pairs) == 0 {
-		h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: "empty pairs list"})
-		return
-	}
-	if len(pairs) > maxBatchPairs {
-		h.writeJSON(w, r, http.StatusBadRequest,
-			errorWire{Error: fmt.Sprintf("%d pairs exceeds the %d-pair batch limit", len(pairs), maxBatchPairs)})
-		return
-	}
-	v, err := h.Tracker.DistancesCtx(r.Context(), token)
+	pairs, err := parseBatch(r)
 	if err != nil {
-		h.writeErr(w, r, err)
+		h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: err.Error()})
+		return
+	}
+	//p4pvet:ignore allochot Source implementations' view reads are //p4p:hotpath roots of their own
+	v, err := h.Source.DistancesCtx(r.Context(), r.Header.Get(tokenHeaderCanon))
+	if err != nil {
+		h.writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	idx := h.pidIndexFor(v)
@@ -438,7 +518,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if okA {
 				pid = pr.Dst
 			}
-			h.writeJSON(w, r, http.StatusBadRequest,
+			h.WriteJSON(w, r, http.StatusBadRequest,
 				errorWire{Error: fmt.Sprintf("PID %d not in the external view", pid)})
 			return
 		}
@@ -448,32 +528,19 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Distances[k] = d
 		}
 	}
-	h.writeJSON(w, r, http.StatusOK, out)
-}
-
-func (h *Handler) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	caps, err := h.Tracker.Capabilities(r.Header.Get(tokenHeaderCanon), r.URL.Query().Get("kind"))
-	if err != nil {
-		h.writeErr(w, r, err)
-		return
-	}
-	if caps == nil {
-		caps = []itracker.Capability{}
-	}
-	h.writeJSON(w, r, http.StatusOK, caps)
+	h.WriteJSON(w, r, http.StatusOK, out)
 }
 
 func (h *Handler) handlePID(w http.ResponseWriter, r *http.Request) {
-	ipStr := r.URL.Query().Get("ip")
-	ip := net.ParseIP(ipStr)
+	ip := net.ParseIP(r.URL.Query().Get("ip"))
 	if ip == nil {
-		h.writeJSON(w, r, http.StatusBadRequest, errorWire{Error: "missing or malformed ip parameter"})
+		h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "missing or malformed ip parameter"})
 		return
 	}
-	pid, asn, err := h.Tracker.LookupPID(ip)
+	pid, asn, err := h.Source.LookupPIDCtx(r.Context(), r.Header.Get(tokenHeaderCanon), ip)
 	if err != nil {
-		h.writeJSON(w, r, http.StatusNotFound, errorWire{Error: err.Error()})
+		h.writeErr(w, r, http.StatusNotFound, err)
 		return
 	}
-	h.writeJSON(w, r, http.StatusOK, PIDLookupWire{PID: pid, ASN: asn})
+	h.WriteJSON(w, r, http.StatusOK, PIDLookupWire{PID: pid, ASN: asn})
 }

@@ -13,6 +13,10 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 echo '>> go vet ./...'
 go vet ./...
+# perfbench is its own module, so the root ./... never compiles it; vet
+# it here so an API change it depends on fails verify, not the benchmark.
+echo '>> go vet ./... (perfbench)'
+(cd perfbench && go vet ./...)
 echo '>> go build ./...'
 go build ./...
 echo '>> go test -race ./...'
