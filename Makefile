@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime 10s ./internal/portal
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePairs$$' -fuzztime 10s ./internal/portal
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchBody$$' -fuzztime 10s ./internal/portal
+	$(GO) test -run '^$$' -fuzz '^FuzzPIDQuery$$' -fuzztime 10s ./internal/portal
 	$(GO) test -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis

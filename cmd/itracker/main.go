@@ -13,8 +13,8 @@
 //	curl localhost:8080/metrics
 //
 // Observability: GET /metrics serves the Prometheus exposition (HTTP
-// request counts/latency per route, ETag 304 hits, view-recompute
-// durations, view version, super-gradient norm, max link utilization,
+// request counts/latency per route, ETag 304 hits, encoded-response
+// cache hits and encodes, view-recompute durations, view version, super-gradient norm, max link utilization,
 // and Go runtime health sampled per scrape); GET /healthz and
 // GET /readyz serve liveness and readiness (ready once a distance view
 // is materialized); -traces enables W3C trace-context request tracing
@@ -100,12 +100,14 @@ func main() {
 		},
 	}, engine, itracker.SyntheticPIDMap(g))
 
-	// Telemetry: one registry feeds the portal middleware, the iTracker
-	// engine gauges, and GET /metrics.
+	// Telemetry: one registry feeds the portal middleware and its
+	// encoded-response cache counters, the iTracker engine gauges, and
+	// GET /metrics.
 	reg := telemetry.NewRegistry()
 	tr.Metrics = itracker.NewMetrics(reg)
 
 	h := portal.NewHandler(tr)
+	h.CacheMetrics = portal.NewCacheMetrics(reg)
 	h.Telemetry.Metrics = telemetry.NewHTTPMetrics(reg, "p4p_http")
 	h.Telemetry.Logger = logger
 	h.Telemetry.Preregister()

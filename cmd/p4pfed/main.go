@@ -20,7 +20,8 @@
 //
 // Observability matches the portal binary: GET /metrics serves the
 // Prometheus exposition (per-shard refreshes/failures/stale serves,
-// merge counters, per-route HTTP metrics, runtime health), GET
+// merge counters, encoded-response cache hits and encodes, per-route
+// HTTP metrics, runtime health), GET
 // /healthz and /readyz serve liveness and readiness (ready while at
 // least one shard holds a view — degraded-but-serving is reported, not
 // failed), GET /stats snapshots per-shard freshness and the published
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"p4p/internal/federation"
+	"p4p/internal/portal"
 	"p4p/internal/telemetry"
 	"p4p/internal/trace"
 )
@@ -105,6 +107,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	rt.Metrics = federation.NewRouterMetrics(reg)
+	rt.CacheMetrics = portal.NewCacheMetrics(reg)
 	rt.Telemetry.Metrics = telemetry.NewHTTPMetrics(reg, "p4p_http")
 	rt.Telemetry.Logger = logger
 	rt.Telemetry.Preregister()

@@ -259,11 +259,11 @@ func (rt *Router) policy() portal.RefreshPolicy {
 	}
 }
 
-// merged returns the published merge and its generation, running a
-// refresh pass when the merge is past its TTL.
+// ViewCtx implements portal.Source: the published merge and its
+// generation, running a refresh pass when the merge is past its TTL.
 //
 //p4p:hotpath inside the TTL this is a token check, a mutex, and a clock read
-func (rt *Router) merged(ctx context.Context, token string) (*core.View, int, error) {
+func (rt *Router) ViewCtx(ctx context.Context, token string) (*core.View, int, error) {
 	if !rt.tokens.Allows(token) {
 		return nil, 0, itracker.ErrAccessDenied
 	}
@@ -272,34 +272,6 @@ func (rt *Router) merged(ctx context.Context, token string) (*core.View, int, er
 		return nil, 0, errNoShards
 	}
 	return v, gen, nil
-}
-
-// ViewVersionCtx implements portal.Source: the merge generation.
-//
-//p4p:hotpath
-func (rt *Router) ViewVersionCtx(ctx context.Context, token string) (int, error) {
-	_, gen, err := rt.merged(ctx, token)
-	return gen, err
-}
-
-// DistancesCtx implements portal.Source: the published merge.
-//
-//p4p:hotpath
-func (rt *Router) DistancesCtx(ctx context.Context, token string) (*core.View, error) {
-	v, _, err := rt.merged(ctx, token)
-	return v, err
-}
-
-// EncodedViewCtx implements portal.Source. The handler caches the
-// bytes per generation, so this encodes once per published merge and
-// form.
-func (rt *Router) EncodedViewCtx(ctx context.Context, token, form string, encode itracker.EncodeFunc) ([]byte, int, error) {
-	v, gen, err := rt.merged(ctx, token)
-	if err != nil {
-		return nil, 0, err
-	}
-	body, err := encode(v)
-	return body, gen, err
 }
 
 // LookupPIDCtx implements portal.Source by asking each backend in

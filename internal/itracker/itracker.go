@@ -154,20 +154,10 @@ type Server struct {
 	queryCount  int64
 	updateCount int64
 
-	encoded     map[string]*encodedEntry // fully-encoded bodies by form
-	encInflight map[string]chan struct{} // per-form encode singleflight
-
 	// testHookPreMatrix, when non-nil, runs inside the singleflight
 	// materializer just before engine.Matrix; tests use it to inject
 	// panics and to synchronize on "a recompute is in flight".
 	testHookPreMatrix func()
-}
-
-// encodedEntry is one cached wire-ready response body: the bytes an
-// EncodeFunc produced for the view of one engine version.
-type encodedEntry struct {
-	version int
-	body    []byte
 }
 
 // ErrAccessDenied is returned when a caller lacks a trusted token on a
@@ -179,9 +169,7 @@ var ErrAccessDenied = errors.New("itracker: access denied")
 func New(cfg Config, engine *core.Engine, pidMap *PIDMap) *Server {
 	t := &Server{
 		cfg: cfg, engine: engine, pidMap: pidMap,
-		trusted:     NewTokens(cfg.TrustedTokens),
-		encoded:     map[string]*encodedEntry{},
-		encInflight: map[string]chan struct{}{},
+		trusted: NewTokens(cfg.TrustedTokens),
 	}
 	if len(cfg.ServePIDs) > 0 {
 		pids := append([]topology.PID(nil), cfg.ServePIDs...)
@@ -321,113 +309,26 @@ func (t *Server) materialize(ctx context.Context, done chan struct{}) (view *cor
 	return view
 }
 
-// EncodeFunc serializes a materialized view into wire-ready response
-// bytes. It must be deterministic for a given view: EncodedView caches
-// its output per (engine version, form) and replays the same bytes to
-// every caller until the version bumps.
-type EncodeFunc func(*core.View) ([]byte, error)
-
-// EncodedView serves the p4p-distance interface as pre-encoded bytes:
-// the fully-rendered response body for the current engine version and
-// the given form, cached so steady-state portal traffic never touches
-// the encoder ("network information should be aggregated and allow
-// caching" — extended all the way to the wire). The returned slice is
-// shared between callers and must not be mutated.
+// ViewCtx implements portal.Source: DistancesCtx, with the view's own
+// version keying the portal's encoded-response cache and ETag.
 //
-// Like the view itself, encoding is singleflight per form: when a
-// version bump invalidates the cached bytes, exactly one caller
-// materializes the view (through Distances' own singleflight) and runs
-// encode, while concurrent callers wait without holding the server
-// lock. Encode failures are returned, not cached.
-func (t *Server) EncodedView(token, form string, encode EncodeFunc) ([]byte, int, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return t.EncodedViewCtx(context.Background(), token, form, encode)
-}
-
-// EncodedViewCtx is EncodedView with a caller context for trace
-// propagation; the cache-hit fast path touches no trace code.
-//
-//p4p:hotpath steady-state byte replay; the encode slow path is cut at encodeView
-func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode EncodeFunc) ([]byte, int, error) {
-	if !t.trusted.Allows(token) {
-		return nil, 0, ErrAccessDenied
-	}
-	t.mu.Lock()
-	for {
-		if e := t.encoded[form]; e != nil && e.version == t.engine.Version() {
-			t.queryCount++
-			t.mu.Unlock()
-			return e.body, e.version, nil
-		}
-		if done := t.encInflight[form]; done != nil {
-			// Another goroutine is encoding this form; wait with the
-			// lock released, then re-check the cache.
-			t.mu.Unlock()
-			_, span := trace.StartSpan(ctx, "encode_wait")
-			<-done
-			span.End()
-			t.mu.Lock()
-			continue
-		}
-		t.encInflight[form] = make(chan struct{})
-		t.mu.Unlock()
-		return t.encodeView(ctx, token, form, encode)
-	}
-}
-
-// encodeView materializes and encodes the current view for one form.
-// Publication and waiter release run under defer, so a panicking
-// engine or encoder cannot strand the per-form singleflight.
-//
-//p4p:coldpath one encode per (version, form) cache miss; the hot path replays its bytes
-func (t *Server) encodeView(ctx context.Context, token, form string, encode EncodeFunc) (body []byte, version int, err error) {
-	ctx, span := trace.StartSpan(ctx, "encode")
-	defer span.End()
-	span.SetAttr("form", form)
-	var entry *encodedEntry
-	defer func() {
-		t.mu.Lock()
-		if entry != nil {
-			t.encoded[form] = entry
-		}
-		done := t.encInflight[form]
-		delete(t.encInflight, form)
-		t.mu.Unlock()
-		close(done)
-	}()
+//p4p:hotpath every portal distances request, 200 or 304
+func (t *Server) ViewCtx(ctx context.Context, token string) (*core.View, int, error) {
 	v, err := t.DistancesCtx(ctx, token)
 	if err != nil {
-		span.RecordError(err)
 		return nil, 0, err
 	}
-	body, err = encode(v)
-	if err != nil {
-		span.RecordError(err)
-		return nil, 0, err
-	}
-	span.SetAttrInt("bytes", len(body))
-	entry = &encodedEntry{version: v.Version, body: body}
-	return body, v.Version, nil
+	return v, v.Version, nil
 }
 
 // ViewVersion reports the engine version a Distances call would serve,
-// without materializing or serializing a view. The HTTP portal uses it
-// to answer conditional GETs (If-None-Match) with 304 Not Modified.
-//
-//p4p:hotpath conditional-GET fast path; runs on every If-None-Match request
+// without materializing a view, so a caller can watch a price update
+// land without paying for a recompute.
 func (t *Server) ViewVersion(token string) (int, error) {
 	if !t.trusted.Allows(token) {
 		return 0, ErrAccessDenied
 	}
 	return t.engine.Version(), nil
-}
-
-// ViewVersionCtx is ViewVersion in the portal.Source shape; the
-// version is a local read, so the context is unused.
-//
-//p4p:hotpath conditional-GET fast path behind portal.Handler
-func (t *Server) ViewVersionCtx(_ context.Context, token string) (int, error) {
-	return t.ViewVersion(token)
 }
 
 // Ready reports whether a materialized view is cached — the readiness

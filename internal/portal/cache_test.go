@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"p4p/internal/core"
@@ -355,5 +356,47 @@ func TestCacheMetricsRegistered(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestEncodedViewCountsQueries: every distances request is one iTracker
+// query, whether it is encoded, replayed from the encoded-response
+// cache, or answered 304, so Stats() sees the traffic the cache
+// absorbs.
+func TestEncodedViewCountsQueries(t *testing.T) {
+	g := topology.Abilene()
+	tr := itracker.New(itracker.Config{Name: "t", ASN: 1}, core.NewEngine(g, topology.ComputeRouting(g), core.Config{}), nil)
+	h := NewHandler(tr)
+	var notModified atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &telemetry.StatusWriter{ResponseWriter: w}
+		h.ServeHTTP(sw, r)
+		if sw.Status() == http.StatusNotModified {
+			notModified.Add(1)
+		}
+	}))
+	defer srv.Close()
+
+	const n = 5
+	c := NewClient(srv.URL, "")
+	for i := 0; i < n; i++ {
+		if _, err := c.Distances(); err != nil { // the first fetches, the rest revalidate
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + "/p4p/v1/distances")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("plain GET status %d", resp.StatusCode)
+		}
+	}
+	if got := notModified.Load(); got != n-1 {
+		t.Fatalf("304s = %d, want %d", got, n-1)
+	}
+	if q, _ := tr.Stats(); q != 2*n {
+		t.Fatalf("iTracker counted %d queries for %d HTTP requests", q, 2*n)
 	}
 }

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"p4p/internal/core"
+	"p4p/internal/itracker"
+	"p4p/internal/topology"
 )
 
 // FuzzFromWire feeds arbitrary JSON through the wire decoder and
@@ -143,6 +147,41 @@ func FuzzBatchBody(f *testing.F) {
 		}
 		if !slices.Equal(pairs, again) {
 			t.Fatalf("round trip drifted: %v -> %v", pairs, again)
+		}
+	})
+}
+
+// FuzzPIDQuery drives GET /p4p/v1/pid?ip=<input> through the handler
+// over an Abilene iTracker: the status is 200, 400 or 404, never 5xx;
+// it is 400 exactly when net.ParseIP rejects the input; and a 200
+// carries the PID the PID map assigns the parsed address.
+func FuzzPIDQuery(f *testing.F) {
+	for _, s := range []string{"192.0.2.1", "banana", "10.300.0.1"} { // more seeds in testdata/fuzz
+		f.Add(s)
+	}
+	g := topology.Abilene()
+	pids := itracker.SyntheticPIDMap(g)
+	h := NewHandler(itracker.New(itracker.Config{Name: "t", ASN: 11537},
+		core.NewEngine(g, topology.ComputeRouting(g), core.Config{}), pids))
+	f.Fuzz(func(t *testing.T, s string) {
+		req := httptest.NewRequest(http.MethodGet, "/p4p/v1/pid?ip="+url.QueryEscape(s), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		ip := net.ParseIP(s)
+		switch {
+		case rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusNotFound:
+			t.Fatalf("ip %q: status %d: %s", s, rec.Code, rec.Body.Bytes())
+		case (rec.Code == http.StatusBadRequest) != (ip == nil):
+			t.Fatalf("ip %q: status %d, but net.ParseIP gives %v", s, rec.Code, ip)
+		case rec.Code != http.StatusOK:
+			return
+		}
+		var out PIDLookupWire
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("ip %q: 200 body %s: %v", s, rec.Body.Bytes(), err)
+		}
+		if want, ok := pids.Lookup(ip); !ok || out.PID != want {
+			t.Fatalf("ip %q: served PID %d, PID map gives %d (found %v)", s, out.PID, want, ok)
 		}
 	})
 }

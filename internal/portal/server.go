@@ -13,12 +13,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"p4p/internal/core"
 	"p4p/internal/itracker"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
+	"p4p/internal/trace"
 )
 
 // tokenHeader carries the caller's trust token.
@@ -51,14 +53,10 @@ var jsonCTVals = []string{"application/json"}
 // ErrUnavailable is 503 everywhere; any other error is 404 on the PID
 // route and 500 elsewhere.
 type Source interface {
-	// ViewVersionCtx reports the version the distances endpoint would
-	// serve; it keys the encoded-response cache and the ETag.
-	ViewVersionCtx(ctx context.Context, token string) (int, error)
-	// EncodedViewCtx returns the encoded body of the current view and
-	// the version it belongs to.
-	EncodedViewCtx(ctx context.Context, token, form string, encode itracker.EncodeFunc) ([]byte, int, error)
-	// DistancesCtx returns the current view (the batch endpoint).
-	DistancesCtx(ctx context.Context, token string) (*core.View, error)
+	// ViewCtx returns the current view and its version, which keys the
+	// handler's encoded-response cache and the ETag. A version names
+	// one view and never goes backwards.
+	ViewCtx(ctx context.Context, token string) (*core.View, int, error)
 	// LookupPIDCtx maps a client address to its PID and AS number.
 	LookupPIDCtx(ctx context.Context, token string, ip net.IP) (topology.PID, int, error)
 }
@@ -96,7 +94,9 @@ var ErrUnavailable = errors.New("portal: no view available")
 // The 200 path is cached too: the fully-encoded JSON body and its
 // ETag/Content-Length header values are kept per (view version, form)
 // — invalidated by version bump — so a steady-state response is a byte
-// copy that never touches json.Marshal (see DESIGN.md §10).
+// copy that never touches json.Marshal (see DESIGN.md §10). This is
+// the only encoded-body cache: sources hand over views, and one request
+// per form encodes each new version while concurrent ones wait for it.
 //
 // Every route runs through Telemetry, which mints a request ID (echoed
 // in X-Request-ID and carried on the request context when a Logger is
@@ -124,9 +124,18 @@ type Handler struct {
 
 	// cacheRaw/cacheRanks hold the current fully-rendered response per
 	// form; batchIdx holds the PID→row index for the batch endpoint.
-	cacheRaw   atomic.Pointer[respEntry]
-	cacheRanks atomic.Pointer[respEntry]
+	cacheRaw   formCache
+	cacheRanks formCache
 	batchIdx   atomic.Pointer[pidIndex]
+}
+
+// formCache is one form's slot in the encoded-response cache: the
+// published entry, and a singleflight so one request encodes each new
+// version while the others wait for its entry.
+type formCache struct {
+	entry    atomic.Pointer[respEntry]
+	mu       sync.Mutex
+	inflight chan struct{} // non-nil while one request encodes; closed when it is done
 }
 
 // respEntry is one fully-rendered distances response: the encoded body
@@ -153,8 +162,8 @@ type pidIndex struct {
 type CacheMetrics struct {
 	// Hits counts distances responses served as a cached byte copy.
 	Hits *telemetry.Counter
-	// Misses counts distances requests that re-encoded the view (first
-	// request of a version/form, or post-invalidation).
+	// Misses counts distances requests that ran the encode: one per
+	// (version, form), however many requests arrive at once.
 	Misses *telemetry.Counter
 }
 
@@ -164,7 +173,7 @@ func NewCacheMetrics(r *telemetry.Registry) *CacheMetrics {
 		Hits: r.Counter("p4p_portal_encoded_cache_hits_total",
 			"Distances responses served from the encoded-response cache."),
 		Misses: r.Counter("p4p_portal_encoded_cache_misses_total",
-			"Distances requests that re-encoded the view (version bump or cold cache)."),
+			"Distances requests that ran the encode: one per view version and form."),
 	}
 }
 
@@ -298,7 +307,7 @@ func ETagMatches(header, etag string) bool {
 
 // cacheFor returns the response-cache slot for a form. Forms are
 // validated before this is reached.
-func (h *Handler) cacheFor(form string) *atomic.Pointer[respEntry] {
+func (h *Handler) cacheFor(form string) *formCache {
 	if form == "ranks" {
 		return &h.cacheRanks
 	}
@@ -311,53 +320,74 @@ func (h *Handler) ETag(version int, form string) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%s-v%d-%s", h.bootNonce, version, form))
 }
 
-// fill re-encodes the source's current view for a form and publishes
-// the rendered entry. A version bump racing the encode can leave the
-// entry one version behind; the next request simply misses again.
+// fill returns the entry for view v at version ver, encoding it unless
+// an entry that new is published while this request waits its turn:
+// one request per form encodes at a time, so concurrent misses on a new
+// version encode once. The encoder's slot is released under defer, so
+// a failing or panicking encode leaves the next request free to retry.
+// Only the slot holder publishes, after checking under fc.mu that its
+// version is newer, so an entry is never replaced by an older one.
 //
-//p4p:coldpath runs once per (version, form) cache miss; its fmt work is the point of pre-rendering
-func (h *Handler) fill(r *http.Request, token, form string) (*respEntry, error) {
-	body, version, err := h.Source.EncodedViewCtx(r.Context(), token, form, encoderFor(form))
+//p4p:coldpath runs once per (version, form) cache miss; its encode and fmt work is the point of pre-rendering
+func (h *Handler) fill(ctx context.Context, fc *formCache, form string, v *core.View, ver int) (*respEntry, error) {
+	fc.mu.Lock()
+	for fc.inflight != nil {
+		done := fc.inflight
+		fc.mu.Unlock()
+		_, span := trace.StartSpan(ctx, "encode_wait")
+		<-done
+		span.End()
+		fc.mu.Lock()
+	}
+	if ent := fc.entry.Load(); ent != nil && ent.version >= ver {
+		fc.mu.Unlock()
+		h.CacheMetrics.hit()
+		return ent, nil
+	}
+	done := make(chan struct{})
+	fc.inflight = done
+	fc.mu.Unlock()
+	defer func() {
+		fc.mu.Lock()
+		fc.inflight = nil
+		fc.mu.Unlock()
+		close(done)
+	}()
+	h.CacheMetrics.miss()
+	ent, err := h.encode(ctx, form, v, ver)
+	if err == nil {
+		fc.entry.Store(ent)
+	}
+	return ent, err
+}
+
+// encode renders one view for a form into a response entry. Bodies
+// include the trailing newline WriteJSON appends, so cached and
+// freshly-encoded responses are byte-identical.
+//
+//p4p:coldpath once per (version, form); the hot path replays its bytes
+func (h *Handler) encode(ctx context.Context, form string, v *core.View, ver int) (*respEntry, error) {
+	_, span := trace.StartSpan(ctx, "encode")
+	defer span.End()
+	span.SetAttr("form", form)
+	if form == "ranks" {
+		v = core.RankView(v)
+	}
+	body, err := json.Marshal(ToWire(v))
 	if err != nil {
+		span.RecordError(err)
 		return nil, err
 	}
-	etag := h.ETag(version, form)
-	ent := &respEntry{
-		version:  version,
+	body = append(body, '\n')
+	span.SetAttrInt("bytes", len(body))
+	etag := h.ETag(ver, form)
+	return &respEntry{
+		version:  ver,
 		body:     body,
 		etag:     etag,
 		etagVals: []string{etag},
 		clenVals: []string{strconv.Itoa(len(body))},
-	}
-	h.cacheFor(form).Store(ent)
-	return ent, nil
-}
-
-// encodeRawView and encodeRankedView are the EncodeFuncs the portal
-// installs into the iTracker's encoded-view cache. Bodies include the
-// trailing newline WriteJSON appends, so cached and freshly-encoded
-// responses are byte-identical.
-func encodeRawView(v *core.View) ([]byte, error) {
-	b, err := json.Marshal(ToWire(v))
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func encodeRankedView(v *core.View) ([]byte, error) {
-	b, err := json.Marshal(ToWire(core.RankView(v)))
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func encoderFor(form string) itracker.EncodeFunc {
-	if form == "ranks" {
-		return encodeRankedView
-	}
-	return encodeRawView
+	}, nil
 }
 
 // handleDistances is the steady-state serving path pinned by
@@ -377,16 +407,16 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	//p4pvet:ignore allochot Source implementations' version reads are //p4p:hotpath roots of their own
-	ver, err := h.Source.ViewVersionCtx(r.Context(), token)
+	//p4pvet:ignore allochot Source implementations' view reads are //p4p:hotpath roots of their own
+	v, ver, err := h.Source.ViewCtx(r.Context(), token)
 	if err != nil {
 		h.writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	ent := h.cacheFor(form).Load()
-	if ent == nil || ent.version != ver {
-		h.CacheMetrics.miss()
-		if ent, err = h.fill(r, token, form); err != nil {
+	fc := h.cacheFor(form)
+	ent := fc.entry.Load()
+	if ent == nil || ent.version < ver {
+		if ent, err = h.fill(r.Context(), fc, form, v, ver); err != nil {
 			h.writeErr(w, r, http.StatusInternalServerError, err)
 			return
 		}
@@ -503,7 +533,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	//p4pvet:ignore allochot Source implementations' view reads are //p4p:hotpath roots of their own
-	v, err := h.Source.DistancesCtx(r.Context(), r.Header.Get(tokenHeaderCanon))
+	v, _, err := h.Source.ViewCtx(r.Context(), r.Header.Get(tokenHeaderCanon))
 	if err != nil {
 		h.writeErr(w, r, http.StatusInternalServerError, err)
 		return
