@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzP4PSelect$$' -fuzztime 10s ./internal/apptracker
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -89,6 +89,34 @@ func writeJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, stat
 	w.Write(append(body, '\n'))
 }
 
+// selectHandler answers POST /select with sel, drawing from rng. The
+// rng is not safe for concurrent use, so selections run one at a time
+// under a mutex whose unlock is deferred: a panicking selection must
+// not leave it held and wedge every later request.
+func selectHandler(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, mDefault int) http.HandlerFunc {
+	var mu sync.Mutex
+	choose := func(req *selectRequest) []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return sel.Select(req.Self, req.Candidates, req.M, rng)
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req selectRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeJSON(logger, w, r, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+			return
+		}
+		if req.M <= 0 {
+			req.M = mDefault
+		}
+		idx := choose(&req)
+		if idx == nil {
+			idx = []int{}
+		}
+		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
+	}
+}
+
 // listFlag collects a repeatable string flag.
 type listFlag []string
 
@@ -193,8 +221,6 @@ func main() {
 		}
 	}
 	sel := &apptracker.P4P{Views: provider}
-	rng := rand.New(rand.NewSource(*seed))
-	var rngMu sync.Mutex
 
 	mw := &telemetry.Middleware{
 		Metrics: telemetry.NewHTTPMetrics(reg, "p4p_http"),
@@ -203,23 +229,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("POST /select", mw.RouteFunc("select", func(w http.ResponseWriter, r *http.Request) {
-		var req selectRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(logger, w, r, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
-			return
-		}
-		if req.M <= 0 {
-			req.M = *mDefault
-		}
-		rngMu.Lock()
-		idx := sel.Select(req.Self, req.Candidates, req.M, rng)
-		rngMu.Unlock()
-		if idx == nil {
-			idx = []int{}
-		}
-		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
-	}))
+	mux.Handle("POST /select", mw.RouteFunc("select", selectHandler(logger, sel, rand.New(rand.NewSource(*seed)), *mDefault)))
 	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(logger, w, r, http.StatusOK, statsFn())
 	}))

@@ -43,9 +43,8 @@ func (o *OptimizationService) Optimize(asn int, s core.Session) (*Matching, erro
 	if gamma == 0 {
 		gamma = 0.5
 	}
-	dv := o.Views.ViewFor(asn)
-	view, ok := dv.(*core.View)
-	if dv == nil || !ok {
+	view := o.Views.ViewFor(asn)
+	if view == nil {
 		// Without a view the matching degenerates to uniform weights.
 		return uniformMatching(s), nil
 	}

@@ -105,10 +105,7 @@ func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 		wg.Add(1)
 		go func(i int, p *PortalViews) {
 			defer wg.Done()
-			if dv := p.ViewFor(asn); dv != nil {
-				// PortalViews always hands back the *core.View it caches.
-				views[i], _ = dv.(*core.View)
-			}
+			views[i] = p.ViewFor(asn)
 		}(i, p)
 	}
 	wg.Wait()
@@ -137,8 +134,7 @@ func (m *MultiPortalViews) BatchDistances(ctx context.Context, pairs []portal.PI
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	dv := m.ViewFor(0)
-	v, _ := dv.(*core.View)
+	v := m.ViewFor(0)
 	if v == nil || !viewCovers(v, pairs) {
 		return nil, errNoBatchSource
 	}

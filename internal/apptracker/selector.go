@@ -13,8 +13,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync/atomic"
 
+	"p4p/internal/core"
 	"p4p/internal/topology"
 )
 
@@ -154,15 +157,11 @@ type ViewProvider interface {
 	ViewFor(asn int) DistanceView
 }
 
-// DistanceView is the subset of core.View the selector needs; core.View
-// satisfies it.
-type DistanceView interface {
-	// Weights returns normalized selection weights from PID i with the
-	// concave robustness transform applied (gamma in (0,1]).
-	Weights(i topology.PID, gamma float64) map[topology.PID]float64
-	// Distance returns p_ij.
-	Distance(i, j topology.PID) float64
-}
+// DistanceView is the view a ViewProvider hands out. It is the
+// concrete *core.View, not an interface: P4P indexes the view's PID
+// list and reads its matrix rows directly, and a nil view is plainly
+// nil (no typed-nil interface to guard against).
+type DistanceView = *core.View
 
 // P4PConfig tunes the three-stage P4P selection. Zero values take the
 // paper's defaults.
@@ -208,12 +207,30 @@ func (c P4PConfig) withDefaults() P4PConfig {
 type P4P struct {
 	Views  ViewProvider
 	Config P4PConfig
+
+	// index caches the position lookup and weight rows of the last
+	// view selected over; see indexFor.
+	index atomic.Pointer[viewIndex]
 }
 
 // Name implements Selector.
 func (*P4P) Name() string { return "p4p" }
 
 // Select implements Selector.
+//
+// Selection works over view positions rather than PID-keyed maps: the
+// P4P caches an index per view (viewIndex) and each call takes its
+// working memory from a pool (selectScratch). Selections and RNG
+// consumption match the map-based reference in selector_ref_test.go
+// exactly: buckets keep candidate order and are visited in ascending
+// PID order, and every weight and sum is the same float added in the
+// same order.
+//
+// A candidate whose PID is not in the view is treated as unreachable:
+// +Inf distance and the 1e-9 weight floor. A federated view that lost
+// a shard legitimately lacks that shard's PIDs. If self's PID is not
+// in the view there are no distances from self at all, so selection
+// falls back to Random, as it does without a view.
 func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int {
 	cfg := p.Config.withDefaults()
 	view := p.Views.ViewFor(self.ASN)
@@ -223,23 +240,31 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 		// random selection.
 		return Random{}.Select(self, candidates, m, rng)
 	}
-	taken := make([]bool, len(candidates))
+	ix := p.indexFor(view, cfg.Gamma)
+	selfPos, ok := ix.position(self.PID)
+	if !ok {
+		return Random{}.Select(self, candidates, m, rng)
+	}
+	s := scratchPool.Get().(*selectScratch)
+	defer scratchPool.Put(s)
+	s.locate(ix, self, candidates)
+	selfRow := view.D[selfPos]
+
 	var out []int
+	if c := min(m, len(candidates)); c > 0 {
+		out = make([]int, 0, c)
+	}
 	take := func(i int) {
-		taken[i] = true
+		s.taken[i] = true
 		out = append(out, i)
 	}
 
-	// Stage 1: intra-PID.
+	// Stage 1: intra-PID. The pool keeps candidate order for the
+	// backfill, so the shuffle runs on a copy.
 	intraCap := int(cfg.UpperBoundIntraPID * float64(m))
-	var intra []int
-	for i, c := range candidates {
-		if c.ID != self.ID && c.ASN == self.ASN && c.PID == self.PID {
-			intra = append(intra, i)
-		}
-	}
-	shuffle(rng, intra)
-	for _, i := range intra {
+	s.tmp = append(s.tmp[:0], s.samePID...)
+	shuffle(rng, s.tmp)
+	for _, i := range s.tmp {
 		if len(out) >= intraCap {
 			break
 		}
@@ -252,34 +277,23 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// ASes are far more expensive than in-AS peers (and conversely the
 	// default applies when interdomain distances are comparable).
 	interFrac := cfg.UpperBoundInterPID
-	if adj := interASAdjustment(view, self, candidates); adj > 0 {
+	if adj := s.interASAdjustment(selfRow); adj > 0 {
 		interFrac += (1 - cfg.UpperBoundInterPID) * adj
 	}
 	interCap := int(interFrac * float64(m))
-	weights := view.Weights(self.PID, cfg.Gamma)
-	byPID := map[topology.PID][]int{}
-	var pidsInAS []topology.PID
-	for i, c := range candidates {
-		if taken[i] || c.ID == self.ID || c.ASN != self.ASN || c.PID == self.PID {
-			continue
-		}
-		if _, seen := byPID[c.PID]; !seen {
-			pidsInAS = append(pidsInAS, c.PID)
-		}
-		byPID[c.PID] = append(byPID[c.PID], i)
-	}
-	sort.Slice(pidsInAS, func(a, b int) bool { return pidsInAS[a] < pidsInAS[b] })
-	for _, pid := range pidsInAS {
-		shuffle(rng, byPID[pid])
+	weights := ix.weightRow(selfPos)
+	s.flat = s.countingSort(s.flat, s.otherPID, s.key, s.keys)
+	buckets := s.bucketize(s.buckets[:0], 0, len(s.otherPID), weights)
+	for _, b := range buckets {
+		shuffle(rng, s.flat[b.start:b.start+b.n])
 	}
 	for len(out) < interCap {
-		pid, ok := samplePID(rng, pidsInAS, byPID, weights)
-		if !ok {
+		b := sampleBucket(rng, buckets)
+		if b < 0 {
 			break
 		}
-		bucket := byPID[pid]
-		take(bucket[len(bucket)-1])
-		byPID[pid] = bucket[:len(bucket)-1]
+		take(s.flat[buckets[b].start+buckets[b].n-1])
+		buckets[b].n--
 	}
 
 	// Stage 3: inter-AS. The per-AS quota is inversely proportional to
@@ -288,58 +302,69 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// within the chosen AS candidates are drawn by the same
 	// inverse-distance PID weights as stage 2, so crossing traffic
 	// prefers the cheaper interdomain circuits.
-	var externASNs []int
-	byASPID := map[int]map[topology.PID][]int{}
-	asPIDs := map[int][]topology.PID{}
-	asDist := map[int]float64{}
-	for i, c := range candidates {
-		if taken[i] || c.ID == self.ID || c.ASN == self.ASN {
-			continue
-		}
-		if _, seen := byASPID[c.ASN]; !seen {
-			externASNs = append(externASNs, c.ASN)
-			byASPID[c.ASN] = map[topology.PID][]int{}
-			asDist[c.ASN] = view.Distance(self.PID, c.PID)
-		} else if d := view.Distance(self.PID, c.PID); d < asDist[c.ASN] {
-			asDist[c.ASN] = d
-		}
-		if _, seen := byASPID[c.ASN][c.PID]; !seen {
-			asPIDs[c.ASN] = append(asPIDs[c.ASN], c.PID)
-		}
-		byASPID[c.ASN][c.PID] = append(byASPID[c.ASN][c.PID], i)
+	asns := s.asns[:0]
+	for _, i := range s.otherAS {
+		asns = append(asns, candidates[i].ASN)
 	}
-	sort.Ints(externASNs)
-	for _, asn := range externASNs {
-		sort.Slice(asPIDs[asn], func(a, b int) bool { return asPIDs[asn][a] < asPIDs[asn][b] })
-		for _, pid := range asPIDs[asn] {
-			shuffle(rng, byASPID[asn][pid])
+	slices.Sort(asns)
+	asns = slices.Compact(asns)
+	exts := s.exts[:0]
+	for range asns {
+		exts = append(exts, extAS{})
+	}
+	for _, i := range s.otherAS {
+		a, _ := slices.BinarySearch(asns, candidates[i].ASN)
+		s.as[i] = int32(a)
+		d := math.Inf(1)
+		if pos := s.pos[i]; pos >= 0 {
+			d = selfRow[pos]
+		}
+		if e := &exts[a]; !e.seen {
+			e.dist, e.seen = d, true
+		} else if d < e.dist {
+			e.dist = d
 		}
 	}
-	asWeight := map[int]float64{}
+	// Group by AS, then by PID inside each AS: two stable counting
+	// sorts, the minor key first.
+	s.tmp = s.countingSort(s.tmp, s.otherAS, s.key, s.keys)
+	s.flat = s.countingSort(s.flat, s.tmp, s.as, len(exts))
+	buckets = buckets[:0]
+	for lo, a := 0, 0; lo < len(s.otherAS); a++ {
+		hi := lo + 1
+		for hi < len(s.otherAS) && s.as[s.flat[hi]] == int32(a) {
+			hi++
+		}
+		exts[a].lo = len(buckets)
+		buckets = s.bucketize(buckets, lo, hi, weights)
+		exts[a].hi = len(buckets)
+		lo = hi
+	}
+	for _, b := range buckets {
+		shuffle(rng, s.flat[b.start:b.start+b.n])
+	}
 	asTotal := 0.0
-	for _, asn := range externASNs {
-		d := asDist[asn]
-		w := 1.0
-		if d > 0 {
-			w = 1 / d
-		} else if d == 0 {
-			w = 1e6
+	for a := range exts {
+		e := &exts[a]
+		e.w = 1.0
+		if e.dist > 0 {
+			e.w = 1 / e.dist
+		} else if e.dist == 0 {
+			e.w = 1e6
 		}
-		asWeight[asn] = w
-		asTotal += w
+		asTotal += e.w
 	}
-	pidWeights := view.Weights(self.PID, cfg.Gamma)
 	for len(out) < m && asTotal > 0 {
 		// Draw the AS.
 		x := rng.Float64() * asTotal
 		chosen := -1
-		for _, asn := range externASNs {
-			if len(asPIDs[asn]) == 0 {
+		for a := range exts {
+			if exts[a].retired {
 				continue
 			}
-			x -= asWeight[asn]
+			x -= exts[a].w
 			if x <= 0 || chosen < 0 {
-				chosen = asn
+				chosen = a
 				if x <= 0 {
 					break
 				}
@@ -349,17 +374,18 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 			break
 		}
 		// Draw the PID within the AS by inverse p-distance.
-		pid, ok := samplePID(rng, asPIDs[chosen], byASPID[chosen], pidWeights)
-		if !ok {
+		e := &exts[chosen]
+		b := sampleBucket(rng, buckets[e.lo:e.hi])
+		if b < 0 {
 			// AS exhausted: retire it.
-			asTotal -= asWeight[chosen]
-			asWeight[chosen] = 0
-			asPIDs[chosen] = nil
+			asTotal -= e.w
+			e.w = 0
+			e.retired = true
 			continue
 		}
-		bucket := byASPID[chosen][pid]
-		take(bucket[len(bucket)-1])
-		byASPID[chosen][pid] = bucket[:len(bucket)-1]
+		bk := &buckets[e.lo+b]
+		take(s.flat[bk.start+bk.n-1])
+		bk.n--
 	}
 
 	// Backfill if the staged quotas could not reach m but untaken
@@ -367,21 +393,13 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// order keeps the locality caps meaningful: other ASes, then other
 	// PIDs in this AS, then the client's own PID as a last resort.
 	if len(out) < m {
-		var otherAS, otherPID, samePID []int
-		for i, c := range candidates {
-			if taken[i] || c.ID == self.ID {
-				continue
+		for _, pool := range [...][]int{s.otherAS, s.otherPID, s.samePID} {
+			class := s.tmp[:0]
+			for _, i := range pool {
+				if !s.taken[i] {
+					class = append(class, i)
+				}
 			}
-			switch {
-			case c.ASN != self.ASN:
-				otherAS = append(otherAS, i)
-			case c.PID != self.PID:
-				otherPID = append(otherPID, i)
-			default:
-				samePID = append(samePID, i)
-			}
-		}
-		for _, class := range [][]int{otherAS, otherPID, samePID} {
 			shuffle(rng, class)
 			for _, i := range class {
 				if len(out) >= m {
@@ -389,7 +407,12 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 				}
 				take(i)
 			}
+			s.tmp = class
 		}
+	}
+	s.asns, s.exts, s.buckets = asns, exts, buckets
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -398,37 +421,27 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 // candidate PIDs against the mean to in-AS candidate PIDs and returns a
 // value in [0, 1]: 0 when external peering is no more expensive than
 // in-AS (keep the default bound), approaching 1 as external distances
-// dwarf in-AS ones (pull nearly all peers in-AS).
-func interASAdjustment(view DistanceView, self Node, candidates []Node) float64 {
-	var inSum, extSum float64
-	var inN, extN int
-	seenIn := map[topology.PID]bool{}
-	seenExt := map[topology.PID]bool{}
-	for _, c := range candidates {
-		if c.ID == self.ID {
-			continue
-		}
-		d := view.Distance(self.PID, c.PID)
-		if math.IsInf(d, 1) {
-			continue
-		}
-		if c.ASN == self.ASN {
-			if c.PID != self.PID && !seenIn[c.PID] {
-				seenIn[c.PID] = true
-				inSum += d
-				inN++
+// dwarf in-AS ones (pull nearly all peers in-AS). Each PID counts once
+// per side; PIDs not in the view are unreachable and skipped.
+func (s *selectScratch) interASAdjustment(selfRow []float64) float64 {
+	mean := func(pool []int, mark uint8) (float64, bool) {
+		sum, n := 0.0, 0
+		for _, i := range pool {
+			p := s.pos[i]
+			if p < 0 || s.seen[p]&mark != 0 || math.IsInf(selfRow[p], 1) {
+				continue
 			}
-		} else if !seenExt[c.PID] {
-			seenExt[c.PID] = true
-			extSum += d
-			extN++
+			s.seen[p] |= mark
+			sum += selfRow[p]
+			n++
 		}
+		return sum / float64(n), n > 0
 	}
-	if inN == 0 || extN == 0 {
+	inAvg, inOK := mean(s.otherPID, 1)
+	extAvg, extOK := mean(s.otherAS, 2)
+	if !inOK || !extOK {
 		return 0
 	}
-	inAvg := inSum / float64(inN)
-	extAvg := extSum / float64(extN)
 	if extAvg <= 0 || extAvg <= inAvg {
 		return 0
 	}
